@@ -56,9 +56,8 @@ def main() -> None:
     # The hot path runs on a pluggable array backend: "numpy" (default),
     # "threaded"/"threaded:<N>" for multi-core hosts, "process"/"process:<N>"
     # for GIL-free multi-core (catalogue integrands ship to worker
-    # processes; closures like `banana` run in-process), "cupy" on a real
-    # GPU.  Host backends are bit-identical to the reference — only
-    # wall-clock changes.
+    # processes; closures like `banana` run in-process).  Host backends
+    # are bit-identical to the reference — only wall-clock changes.
     print("\n== Backend selection (identical results, different substrate) ==")
     for backend in ("numpy", "threaded", "process:2"):
         res = integrate(banana, ndim=4, rel_tol=1e-5, backend=backend)

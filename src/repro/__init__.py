@@ -20,7 +20,7 @@ Package map
 ``repro.batch``       batched multi-integrand scheduling (integrate_many)
 ``repro.service``     job queue + result cache service layer
                       (serve_jobs, serve_http, durable store)
-``repro.backends``    pluggable array-execution backends (numpy/threaded/cupy)
+``repro.backends``    pluggable array-execution backends (numpy/threaded/process)
 ``repro.gpu``         virtual device: cost model, memory pool, scheduler
 ``repro.baselines``   sequential Cuhre, two-phase GPU method, randomized QMC
 ``repro.integrands``  the paper's f1–f8 and the Genz families

@@ -347,7 +347,7 @@ def integrate(
     backend:
         Execution backend for the PAGANI hot path: ``"numpy"`` (default),
         ``"threaded"`` / ``"threaded:<N>"``, ``"process"`` /
-        ``"process:<N>"``, ``"cupy"``, or an
+        ``"process:<N>"``, or an
         :class:`~repro.backends.base.ArrayBackend` instance.  Host
         backends produce results identical to the NumPy reference; see
         :mod:`repro.backends`.  ``"auto"`` routes this call through the
@@ -553,16 +553,14 @@ def integrate_many(
         **bit-identical** to a sequential :func:`integrate` call.  The
         ``"threaded"`` backend switches to the throughput-tuned fused
         chunk grain (``FUSED_CHUNK_BUDGET``) and is therefore held to
-        machine-precision agreement rather than bit-identity — the same
-        contract the ``"cupy"`` backend always has; cupy itself keeps
-        the large reference chunks (a device wants big launches).
+        machine-precision agreement rather than bit-identity.
         ``"auto"`` routes the whole batch through the process-wide
         :class:`~repro.backends.routing.BackendRouter` using the summed
         first-sweep cost of all members.
     chunk_budget:
         Override the per-member chunk budget (floats per chunk).  Default:
         the backend's ``preferred_batch_chunk_budget`` when it declares
-        one (threaded does), else the reference budget (numpy/cupy).
+        one (threaded does), else the reference budget (numpy).
     device_spec:
         Virtual-device spec for each member (memory-scaled V100 default —
         the same device a plain :func:`integrate` call builds).

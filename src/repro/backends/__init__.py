@@ -27,19 +27,8 @@ Built-in backends
     same chunk decomposition results are bit-identical to ``"numpy"``.
     Unshippable integrands (closures) degrade to in-process serial
     execution with unchanged numerics.  See :mod:`repro.backends.process`.
-``"numba"`` / ``"numba:<N>"``
-    The compiled kernel lane: the per-chunk sweep arithmetic (point
-    evaluation, the five weighted contractions, error combination,
-    fourth-difference axis scan) runs as one fused, parallel,
-    nogil-jitted Numba kernel on an ``N``-wide thread team.  Agrees with
-    the reference to machine precision (ULP contract — per-region
-    sequential sums vs. BLAS blocked sums), not bit-identically.
-    Import-guarded like ``"cupy"``: the one-time probe compiles a trivial
-    jitted function and caches the verdict.  See
-    :mod:`repro.backends.compiled`.
-``"cupy"``
-    Real-GPU execution through CuPy.  Import-guarded: selecting it on a
-    host without CuPy/CUDA raises
+    On a host where process pools cannot run (a sandbox without
+    semaphores) selecting it raises
     :class:`~repro.backends.base.BackendUnavailableError` (an
     ``ImportError``), and :func:`available_backends` omits it.
 
@@ -99,8 +88,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.backends.base import ArrayBackend, BackendUnavailableError
-from repro.backends.compiled import NumbaBackend, numba_available
-from repro.backends.cupy_backend import CupyBackend, cupy_available
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.process import (
     ProcessNumpyBackend,
@@ -116,9 +103,6 @@ __all__ = [
     "ThreadedNumpyBackend",
     "ProcessNumpyBackend",
     "WorkerCrashError",
-    "CupyBackend",
-    "NumbaBackend",
-    "numba_available",
     "BackendLike",
     "BackendSpec",
     "resolve_backend",
@@ -218,7 +202,6 @@ def register_backend(
 _WIDTH_FACTORIES: Dict[str, Callable[[int], ArrayBackend]] = {
     "threaded": lambda width: ThreadedNumpyBackend(num_threads=width),
     "process": lambda width: ProcessNumpyBackend(num_workers=width),
-    "numba": lambda width: NumbaBackend(num_threads=width),
 }
 
 
@@ -253,12 +236,12 @@ def get_backend(spec: BackendLike = None) -> ArrayBackend:
     """Resolve a backend spec to a (shared) backend instance.
 
     ``None`` and ``"numpy"`` return the reference backend;
-    ``"threaded:<N>"`` / ``"process:<N>"`` / ``"numba:<N>"`` build an
-    ``N``-wide pool (cached per width so repeated resolutions share one
-    executor); instances pass through untouched.  Unknown names raise
+    ``"threaded:<N>"`` / ``"process:<N>"`` build an ``N``-wide pool
+    (cached per width so repeated resolutions share one executor);
+    instances pass through untouched.  Unknown names raise
     :class:`~repro.errors.ConfigurationError`; known-but-unusable
-    backends (e.g. ``"cupy"`` without CUDA, ``"numba"`` without Numba)
-    raise :class:`BackendUnavailableError`.
+    backends (e.g. ``"process"`` where pools cannot run) raise
+    :class:`BackendUnavailableError`.
     """
     from repro.errors import ConfigurationError
 
@@ -305,5 +288,3 @@ def available_backends() -> List[str]:
 register_backend("numpy", NumpyBackend)
 register_backend("threaded", ThreadedNumpyBackend)
 register_backend("process", ProcessNumpyBackend, available=process_pool_available)
-register_backend("cupy", CupyBackend, available=cupy_available)
-register_backend("numba", NumbaBackend, available=numba_available)

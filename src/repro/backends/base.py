@@ -11,11 +11,11 @@ concrete array library.
 Implementers subclass :class:`ArrayBackend` and provide:
 
 ``xp``
-    The array namespace (``numpy``, ``cupy``, …).  All array *creation*
-    in the hot path goes through ``xp`` (``xp.empty``, ``xp.zeros``,
-    ``xp.arange``, ``xp.repeat``, …); elementwise math is written with
-    ``numpy`` ufuncs, which dispatch to the owning library through
-    ``__array_ufunc__`` / ``__array_function__``.
+    The array namespace (``numpy``, or a device array library).  All
+    array *creation* in the hot path goes through ``xp`` (``xp.empty``,
+    ``xp.zeros``, ``xp.arange``, ``xp.repeat``, …); elementwise math is
+    written with ``numpy`` ufuncs, which dispatch to the owning library
+    through ``__array_ufunc__`` / ``__array_function__``.
 ``map_integrand``
     Apply the user's batch integrand to an ``(N, ndim)`` point array and
     coerce the result to a float64 vector *of the backend's array type*.
@@ -87,7 +87,7 @@ class ArrayBackend(abc.ABC):
     @property
     @abc.abstractmethod
     def xp(self) -> Any:
-        """The array-creation namespace (``numpy``, ``cupy``, …)."""
+        """The array-creation namespace (``numpy`` for host backends)."""
 
     @abc.abstractmethod
     def asarray(self, a: Any, dtype: Any = None) -> Any:

@@ -15,15 +15,11 @@ instead:
    from the committed ``benchmarks/results/BENCH_backends.json`` rows
    (falling back to built-in constants when the file is not around,
    e.g. in an installed package) and refined online by observed sweep
-   timings (EWMA — see :meth:`BackendRouter.observe`).  The cupy
-   candidate is priced with the saturation-curve cost model from
-   :mod:`repro.gpu.device`: small sweeps cannot fill a device, so its
-   effective rate degrades by ``efficiency(n_regions)``.
+   timings (EWMA — see :meth:`BackendRouter.observe`).
 3. **Dispatch.**  Cheapest predicted candidate wins: numpy for tiny
-   jobs, ``process:N`` for big sweeps, cupy when present and saturated.
-   Adequacy is never in question for host backends (they are
-   bit-identical by the conformance contract); the decision only moves
-   *where* the same bits are computed.
+   jobs, ``process:N`` for big sweeps.  Adequacy is never in question
+   (the candidates are bit-identical by the conformance contract); the
+   decision only moves *where* the same bits are computed.
 
 Escape hatches: a non-``auto`` override (per-job ``JobSpec.backend``,
 or an explicit spec anywhere a backend is accepted) bypasses the policy
@@ -46,8 +42,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import resolve_workers
-from repro.backends.compiled import numba_available
-from repro.backends.cupy_backend import cupy_available
 from repro.backends.process import process_pool_available
 
 #: spec string that selects routing instead of a concrete backend
@@ -81,9 +75,6 @@ FALLBACK_S_PER_MEVAL = {
     "numpy": 0.105,
     "threaded": 0.12,
     "process": 0.11,
-    # fused nogil kernel, no per-chunk Python dispatch: the compiled
-    # lane's steady-state rate once the JIT warm-up is paid
-    "numba": 0.03,
 }
 
 #: committed batch baseline: the fused-grain gains are seeded from here
@@ -103,20 +94,11 @@ SWEEP_OVERHEAD_S = {
     "numpy": 0.0,
     "threaded": 2e-3,
     "process": 2e-2,
-    "cupy": 5e-3,
-    # amortised share of the one-time JIT compile (cached after the
-    # first sweep) plus the per-sweep kernel launch bookkeeping
-    "numba": 1e-3,
 }
 
 #: fraction of ideal speedup a width-W pool retains (stitching and the
 #: parent's serial share eat the rest); refined by observed timings
 PROCESS_PARALLEL_EFFICIENCY = 0.75
-
-#: saturated GPU evaluate rate (s/Meval) — paper-order-of-magnitude
-#: prior; scaled down by the device-model efficiency curve on small
-#: sweeps (no committed cupy rows exist to seed from)
-CUPY_SATURATED_S_PER_MEVAL = 0.004
 
 #: EWMA weight of each newly observed sweep rate
 OBSERVATION_ALPHA = 0.3
@@ -212,8 +194,8 @@ class BackendRouter:
         Pool width the ``process`` candidate is priced (and dispatched)
         at; default ``resolve_workers(None)`` — one worker per CPU.
         :meth:`autotune_width` replaces it with a measured choice.
-    process / cupy:
-        Availability overrides for tests; ``None`` probes the host.
+    process:
+        Availability override for tests; ``None`` probes the host.
 
     Thread-safe: decisions and observations may come from any service
     shard concurrently.
@@ -224,9 +206,7 @@ class BackendRouter:
         priors: Optional[Dict[str, float]] = None,
         process_width: Optional[int] = None,
         process: Optional[bool] = None,
-        cupy: Optional[bool] = None,
         batch_gains: Optional[Dict[str, float]] = None,
-        numba: Optional[bool] = None,
     ):
         self.priors = load_priors() if priors is None else dict(priors)
         self.batch_gains = (
@@ -238,8 +218,6 @@ class BackendRouter:
         self._process = (
             process_pool_available() if process is None else bool(process)
         )
-        self._cupy = cupy_available() if cupy is None else bool(cupy)
-        self._numba = numba_available() if numba is None else bool(numba)
         self._lock = threading.Lock()
         self._observed: Dict[str, float] = {}
         self._observations = 0
@@ -266,14 +244,10 @@ class BackendRouter:
             # but its throughput-tuned fused chunk grain beats numpy's
             # reference decomposition on big sweeps.
             out.append(f"process:{self.process_width}")
-        if self._numba:
-            out.append("numba")
-        if self._cupy:
-            out.append("cupy")
         return out
 
     def predict_seconds(
-        self, spec: str, evals: float, regions: float, context: str = "plain"
+        self, spec: str, evals: float, context: str = "plain"
     ) -> float:
         """Predicted first-sweep seconds for one candidate spec.
 
@@ -286,15 +260,7 @@ class BackendRouter:
         """
         family = spec.partition(":")[0]
         mevals = evals / 1e6
-        if family == "cupy":
-            # Small sweeps cannot fill a device: scale the saturated
-            # rate by the gpu/device.py occupancy curve.
-            from repro.gpu.device import DeviceSpec
-
-            dev = DeviceSpec.v100()
-            occupancy = dev.efficiency(regions) / dev.eff_max
-            rate = CUPY_SATURATED_S_PER_MEVAL / max(occupancy, 1e-6)
-        elif family == "process":
+        if family == "process":
             width = int(spec.partition(":")[2] or self.process_width)
             with self._lock:
                 observed = self._observed.get("process")
@@ -363,20 +329,11 @@ class BackendRouter:
         if override is not None and override != AUTO_SPEC:
             decision = RoutingDecision(backend=override, reason="override")
         else:
-            from repro.core.pagani import PaganiConfig
-            from repro.cubature.rules import get_rule
-
-            evals = 0.0
-            regions = 0.0
-            for ndim in ndims:
-                splits = PaganiConfig(
-                    initial_splits=initial_splits
-                ).splits_for(ndim)
-                n_regions = float(splits**ndim)
-                regions += n_regions
-                evals += n_regions * get_rule(ndim).npoints
+            evals = float(
+                sum(first_sweep_evals(ndim, initial_splits) for ndim in ndims)
+            )
             predicted = {
-                spec: self.predict_seconds(spec, evals, regions, context)
+                spec: self.predict_seconds(spec, evals, context)
                 for spec in self._candidates(context)
             }
             # stable min: ties go to the earliest candidate (numpy)

@@ -59,10 +59,11 @@ def _resolve_backend(spec: str):
     """Validate a --backend spec, falling back to numpy when unusable.
 
     Unknown names are hard errors (a typo should not silently change the
-    run); *known but unavailable* backends — cupy on a CUDA-less host —
-    degrade to the reference backend with a warning, so scripts written
-    for GPU boxes still run everywhere.  ``"auto"`` is passed through as
-    the spec string: the router resolves it per job, not the CLI.
+    run); *known but unavailable* backends — process on a host where
+    pools cannot run — degrade to the reference backend with a warning,
+    so scripts written for bigger boxes still run everywhere.  ``"auto"``
+    is passed through as the spec string: the router resolves it per job,
+    not the CLI.
     """
     if spec == "auto":
         return "auto"

@@ -93,7 +93,7 @@ class PaganiConfig:
     #: chunking budget for the evaluate sweep (floats per chunk)
     chunk_budget: int = 16_000_000
     #: execution backend for the hot path: a registered name
-    #: ("numpy", "threaded", "threaded:<N>", "cupy") or an
+    #: ("numpy", "threaded[:<N>]", "process[:<N>]") or an
     #: :class:`~repro.backends.base.ArrayBackend` instance
     backend: BackendLike = "numpy"
 

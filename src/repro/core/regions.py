@@ -115,7 +115,7 @@ class RegionStore:
 
         This is Algorithm 2 line 4 (``Uniform-Split``): the pre-processing
         step that seeds the breadth-first expansion with enough parallelism
-        to occupy the device from the first iteration.  The grid is built
+        to fill the device from the first iteration.  The grid is built
         on the host and uploaded once through ``backend.asarray`` — the
         breadth-first loop never moves region arrays off the backend again.
         """

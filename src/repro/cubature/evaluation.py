@@ -18,18 +18,13 @@ Returned per region:
 * ``split_axis`` — axis with the largest fourth divided difference,
 * companion-rule estimates when the ``four_difference`` error model is on.
 
-Two hot-path hooks keep steady-state iterations allocation-free:
-
-* callers may pass a :class:`SweepScratch` so the chunk temporaries (the
-  point tensor, volumes, companion estimates, fourth-difference work
-  arrays) are reused across chunks and iterations instead of reallocated —
-  engaged only on backends that run chunks serially over host NumPy
-  arrays, and written with ``out=`` ufunc forms that are bit-identical to
-  the allocating expressions;
-* a backend exposing ``fused_compute_chunk`` (the compiled Numba lane,
-  :mod:`repro.backends.compiled`) replaces the whole per-chunk arithmetic
-  with its fused kernel under the same ``(estimate, error, axis)``
-  contract.
+Callers may pass a :class:`SweepScratch` to keep steady-state iterations
+allocation-free: the chunk temporaries (the point tensor, volumes,
+companion estimates, fourth-difference work arrays) are reused across
+chunks and iterations instead of reallocated — engaged only on backends
+that run chunks serially over host NumPy arrays, and written with
+``out=`` ufunc forms that are bit-identical to the allocating
+expressions.
 """
 
 from __future__ import annotations
@@ -436,9 +431,6 @@ def evaluate_regions(
     # A scratch serves one chunk at a time over host NumPy arrays only.
     if scratch is not None and (bk.concurrent_chunks or bk.xp is not np):
         scratch = None
-    # Compiled-lane hook: a backend exposing ``fused_compute_chunk``
-    # replaces the per-chunk arithmetic with its fused kernel.
-    fused = getattr(bk, "fused_compute_chunk", None)
 
     # Process backends execute chunks in worker processes when the
     # integrand can be shipped (catalogue spec or picklable callable);
@@ -450,16 +442,10 @@ def evaluate_regions(
 
     def chunk_task(lo: int, hi: int) -> ChunkTask:
         def work() -> None:
-            if fused is not None:
-                i7, err, ax = fused(
-                    dr, integrand, centers[lo:hi], halfwidths[lo:hi],
-                    error_model,
-                )
-            else:
-                i7, err, ax = compute_chunk(
-                    bk, dr, integrand, centers[lo:hi], halfwidths[lo:hi],
-                    error_model, scratch=scratch,
-                )
+            i7, err, ax = compute_chunk(
+                bk, dr, integrand, centers[lo:hi], halfwidths[lo:hi],
+                error_model, scratch=scratch,
+            )
             estimate[lo:hi] = i7
             error[lo:hi] = err
             axis[lo:hi] = ax

@@ -8,7 +8,7 @@ Endpoints (see ``docs/service.md`` for the full table)::
     GET    /v1/jobs/<id>/result finished result              → 200 / 409 / 410 / 404 / 500
     DELETE /v1/jobs/<id>        cancel                       → 202 / 409 / 404
     GET    /metrics             service + HTTP counters      → 200
-    GET    /healthz             liveness                     → 200
+    GET    /healthz             liveness                     → 200 / 503
 
 Design notes:
 
@@ -116,6 +116,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "pagani-repro"
+    # _send_json writes headers and body in two sends; with Nagle's
+    # algorithm on, the client's delayed ACK holds the body back ~40 ms
+    # on every kept-alive request.
+    disable_nagle_algorithm = True
 
     # quiet by default: a load generator would otherwise spam stderr
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
@@ -174,7 +178,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.app._count("requests")
         path = urlsplit(self.path).path.rstrip("/")
         if path == "/healthz":
-            self._send_json(200, {"ok": True})
+            problem = self.app.service.health_problem()
+            if problem is None:
+                self._send_json(200, {"ok": True})
+            else:
+                self._send_json(503, {"ok": False, "reason": problem})
         elif path == "/metrics":
             self._send_json(200, self.app.metrics())
         elif path == f"/{HTTP_API_VERSION}/jobs":

@@ -419,6 +419,22 @@ class IntegrationService:
         with self._cond:
             return len(self._queue)
 
+    def health_problem(self) -> Optional[str]:
+        """Why the service cannot serve jobs, or ``None`` while it can.
+
+        Reports a worker that died (the rotation's last-resort handler
+        failed every live job) and any shard thread that is no longer
+        running — after :meth:`shutdown` that is every shard.
+        """
+        with self._cond:
+            error = self._worker_error
+        if error is not None:
+            return f"service worker died: {error!r}"
+        dead = [s.index for s in self._shards if not s.thread.is_alive()]
+        if dead:
+            return f"shard threads not running: {dead}"
+        return None
+
     def stats(self) -> dict:
         """Snapshot of queue/rotation/cache counters.
 

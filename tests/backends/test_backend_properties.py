@@ -15,23 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.backends import ArrayBackend, BackendUnavailableError, get_backend
+from repro.backends import ArrayBackend, get_backend
 
-#: host backends always run; cupy joins when CUDA is present
-SPECS = ["numpy", "threaded", "cupy"]
+SPECS = ["numpy", "threaded"]
 
-
-def _backends() -> list:
-    out = []
-    for spec in SPECS:
-        try:
-            out.append(get_backend(spec))
-        except BackendUnavailableError:
-            pass
-    return out
-
-
-BACKENDS = _backends()
+BACKENDS = [get_backend(spec) for spec in SPECS]
 BACKEND_IDS = [bk.name for bk in BACKENDS]
 
 flags_arrays = hnp.arrays(

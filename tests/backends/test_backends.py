@@ -4,8 +4,7 @@ Every registered backend that is available on the host runs the same
 battery: primitive semantics against the NumPy reference, the
 chunk-execution contract, and end-to-end PAGANI agreement on Genz
 integrands.  Host backends must match the NumPy reference **exactly**
-(bit-identical estimates and errors); accelerator backends with a
-different array library (cupy) are held to machine-precision agreement.
+(bit-identical estimates and errors).
 """
 
 from __future__ import annotations
@@ -16,12 +15,18 @@ import pytest
 from repro.api import integrate
 from repro.backends import (
     ArrayBackend,
+    BackendSpec,
     BackendUnavailableError,
     NumpyBackend,
     ThreadedNumpyBackend,
     available_backends,
+    backend_spec_help,
     get_backend,
+    new_backend,
+    resolve_backend,
 )
+from repro.backends import process as process_module
+from repro.backends.routing import BackendRouter
 from repro.core.pagani import PaganiConfig, PaganiIntegrator
 from repro.cubature.evaluation import evaluate_regions
 from repro.cubature.rules import get_rule
@@ -29,17 +34,13 @@ from repro.errors import ConfigurationError
 from repro.integrands.catalog import named_integrand
 from repro.integrands.genz import GenzFamily, make_genz
 
-#: every backend we try; unavailable ones skip rather than fail
+#: every backend we try; unavailable ones skip rather than fail.  All
+#: share NumPy's array library *and* chunk arithmetic, so all must be
+#: bit-identical to it.
 ALL_BACKEND_SPECS = [
     "numpy", "threaded", "threaded:2", "process", "process:2",
-    "numba", "numba:2", "cupy",
 ]
-
-#: backends sharing NumPy's array library *and* chunk arithmetic must be
-#: bit-identical to it; numba's fused kernel sums sequentially per region
-#: (BLAS sums blocked), so the compiled lane is held to the same
-#: machine-precision contract as cupy instead
-EXACT_SPECS = {"numpy", "threaded", "threaded:2", "process", "process:2"}
+OTHER_SPECS = [s for s in ALL_BACKEND_SPECS if s != "numpy"]
 
 
 def _backend_or_skip(spec: str) -> ArrayBackend:
@@ -92,11 +93,86 @@ def test_new_backend_builds_fresh_instances():
 
 
 @pytest.mark.parametrize(
-    "spec", ["nope", "threaded:x", "process:x", "numba:x", "numpy:4", 3.5]
+    "spec",
+    ["nope", "threaded:x", "process:x", "numpy:4", 3.5,
+     "cupy", "numba", "numba:2"],
 )
 def test_get_backend_rejects_bad_specs(spec):
     with pytest.raises(ConfigurationError):
         get_backend(spec)
+
+
+def test_backend_spec_help_lists_the_registry():
+    assert backend_spec_help() == "numpy, process[:N], threaded[:N]"
+
+
+# ---------------------------------------------------------------------------
+# resolve_backend / BackendSpec: the one authoritative spec parser
+# ---------------------------------------------------------------------------
+def test_resolve_backend_parses_plain_and_width_specs():
+    assert resolve_backend("numpy") == BackendSpec("numpy")
+    assert resolve_backend("threaded") == BackendSpec("threaded")
+    assert resolve_backend("process:8") == BackendSpec("process", 8)
+    assert resolve_backend("auto") == BackendSpec("auto")
+
+
+def test_resolve_backend_none_is_the_reference_backend():
+    assert resolve_backend(None) == BackendSpec("numpy")
+
+
+def test_resolve_backend_instance_and_spec_passthrough():
+    bk = get_backend("numpy")
+    assert resolve_backend(bk) == BackendSpec("numpy")
+    parsed = BackendSpec("threaded", 4)
+    assert resolve_backend(parsed) is parsed
+
+
+def test_backend_spec_roundtrips_to_canonical_string():
+    assert BackendSpec("numpy").spec == "numpy"
+    assert BackendSpec("threaded", 2).spec == "threaded:2"
+    assert resolve_backend(BackendSpec("process", 4).spec) == BackendSpec(
+        "process", 4
+    )
+
+
+@pytest.mark.parametrize("bad", ["process:x", "process:", "threaded:2.5"])
+def test_resolve_backend_rejects_malformed_width(bad):
+    with pytest.raises(ConfigurationError, match="bad worker count"):
+        resolve_backend(bad)
+
+
+def test_resolve_backend_rejects_non_specs():
+    with pytest.raises(ConfigurationError, match="name or ArrayBackend"):
+        resolve_backend(3.5)
+
+
+# ---------------------------------------------------------------------------
+# Probe gating: a host that cannot build a process pool degrades loudly
+# ---------------------------------------------------------------------------
+def test_unavailable_probe_blocks_construction(monkeypatch):
+    monkeypatch.setattr(
+        process_module, "_POOL_PROBE", (False, "OSError: forced off")
+    )
+    with pytest.raises(BackendUnavailableError, match="forced off"):
+        new_backend("process")
+    with pytest.raises(BackendUnavailableError):
+        new_backend("process:2")
+    assert "process" not in available_backends()
+
+
+def test_unavailable_probe_removes_router_candidate(monkeypatch):
+    monkeypatch.setattr(
+        process_module, "_POOL_PROBE", (False, "OSError: forced off")
+    )
+    router = BackendRouter(process_width=2)
+    assert router._candidates() == ["numpy"]
+
+
+def test_forced_probe_advertises_router_candidate():
+    router = BackendRouter(process=True, process_width=2)
+    assert "process:2" in router._candidates()
+    decision = router.decide(6)
+    assert "process:2" in decision.predicted_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +283,7 @@ GENZ_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec", [s for s in ALL_BACKEND_SPECS if s != "numpy"])
+@pytest.mark.parametrize("spec", OTHER_SPECS)
 @pytest.mark.parametrize("family,ndim", GENZ_CASES)
 def test_pagani_genz_agreement_with_numpy(spec, family, ndim):
     _backend_or_skip(spec)
@@ -217,13 +293,9 @@ def test_pagani_genz_agreement_with_numpy(spec, family, ndim):
         cfg = PaganiConfig(rel_tol=1e-4, max_iterations=12, backend=bk)
         results[bk] = PaganiIntegrator(cfg).integrate(f, ndim)
     ref, got = results["numpy"], results[spec]
-    if spec in EXACT_SPECS:
-        # same array library, same chunking => bit-identical
-        assert got.estimate == ref.estimate
-        assert got.errorest == ref.errorest
-    else:
-        assert got.estimate == pytest.approx(ref.estimate, rel=1e-12)
-        assert got.errorest == pytest.approx(ref.errorest, rel=1e-9)
+    # same array library, same chunking => bit-identical
+    assert got.estimate == ref.estimate
+    assert got.errorest == ref.errorest
     assert got.neval == ref.neval
     assert got.iterations == ref.iterations
     assert got.status == ref.status
@@ -241,7 +313,7 @@ TRANSFORM_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", sorted(EXACT_SPECS - {"numpy"}))
+@pytest.mark.parametrize("spec", OTHER_SPECS)
 @pytest.mark.parametrize("tspec", TRANSFORM_SPECS)
 def test_pagani_transform_agreement_with_numpy(spec, tspec):
     _backend_or_skip(spec)

@@ -32,7 +32,6 @@ def router(**kw):
     kw.setdefault("batch_gains", dict(FALLBACK_BATCH_GAIN))
     kw.setdefault("process", True)
     kw.setdefault("process_width", 8)
-    kw.setdefault("cupy", False)
     return BackendRouter(**kw)
 
 
@@ -86,10 +85,6 @@ def test_is_auto():
         # no usable pool (or width 1): the reference backend carries it
         (8, dict(process=False), "numpy"),
         (8, dict(process_width=1), "numpy"),
-        # a present device takes saturating sweeps
-        (8, dict(cupy=True), "cupy"),
-        # ...but not tiny ones (occupancy collapse)
-        (2, dict(cupy=True), "numpy"),
     ],
 )
 def test_decision_table(ndim, kw, expected):
@@ -181,6 +176,12 @@ def test_autotune_probes_real_pool_widths(monkeypatch):
     assert r.stats()["autotuned"] is True
     # probe timings are width-selection evidence only, never EWMA input
     assert r.stats()["observations"] == 0
+
+
+def test_host_router_candidates_are_numpy_and_the_process_pool():
+    candidates = BackendRouter().stats()["candidates"]
+    assert candidates[0] == "numpy"
+    assert {c.partition(":")[0] for c in candidates} <= {"numpy", "process"}
 
 
 def test_autotune_without_pool_pins_width_one():

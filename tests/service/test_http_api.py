@@ -141,6 +141,45 @@ def test_healthz_jobs_list_and_metrics():
         assert metrics["max_queued"] == server.max_queued
 
 
+def test_healthz_reports_a_dead_worker(monkeypatch):
+    with http_server() as server:
+        base = server.url
+
+        def boom(only):
+            raise RuntimeError("injected round failure")
+
+        shard = server.service._shards[0]
+        monkeypatch.setattr(shard.scheduler, "run_round", boom)
+        _, sub, _ = request("POST", base + "/v1/jobs", {"integrand": "3D-f4"})
+        wait_status(base, sub["job_id"], ("failed",))
+        code, body, _ = request("GET", base + "/healthz")
+        assert code == 503
+        assert body["ok"] is False
+        assert "injected round failure" in body["reason"]
+
+
+def test_keepalive_requests_do_not_stall():
+    """Headers and body go out in two sends: with Nagle's algorithm on,
+    the client's delayed ACK stalls each kept-alive request ~40 ms."""
+    import http.client
+    import statistics
+
+    with http_server() as server:
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        seconds = []
+        try:
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                seconds.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+    assert statistics.median(seconds) < 0.020
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------

@@ -129,10 +129,17 @@ def test_backend_bench_smoke_roundtrip(tmp_path):
     )
 
 
-def test_backend_bench_skips_unavailable_backends():
-    data = hz.run_backend_bench(backends=["cupy"], smoke=True)
-    # on a CUDA host this runs; everywhere else it must skip, not crash
-    assert "cupy" in data["backends"] or "cupy" in data["skipped_backends"]
+def test_backend_bench_skips_unavailable_backends(monkeypatch):
+    from repro import backends
+
+    def unavailable():
+        raise backends.BackendUnavailableError("no device available")
+
+    monkeypatch.setitem(backends._FACTORIES, "device", unavailable)
+    data = hz.run_backend_bench(backends=["device"], smoke=True)
+    # an unusable backend is skipped, not crashed on
+    assert data["skipped_backends"] == ["device"]
+    assert "device" not in data["backends"]
 
 
 def test_batch_bench_smoke_roundtrip(tmp_path):

@@ -35,14 +35,6 @@ within the payload's own ratio bound of the best fixed backend, and —
 on hosts where the payload says the expectation is enforced — the shm
 transport is at least as fast as per-chunk pickling.
 
-When ``--current`` holds a ``pagani-kernels-bench`` payload (the
-compiled-kernel lane benchmark), the hard checks are: every lane row
-converged, every numba row agrees with the numpy lane to the ULP
-contract, and — only on hosts where the payload's expectation block
-says it is enforced (numba present, enough cores) — the numba median
-speedup stays at or above the recorded floor.  No baseline comparison
-applies; the payload carries its own expectation.
-
 When ``--current`` holds a ``pagani-scenarios-bench`` payload (the
 workload-scenarios benchmark), the hard checks are correctness claims
 only: every transform spec and sweep member converged, and the
@@ -94,10 +86,6 @@ def load(path: Path) -> dict:
     if data.get("suite") == "pagani-routing-bench":
         if "scenarios" not in data or not isinstance(data["scenarios"], dict):
             raise structural(f"error: {path} has no 'scenarios' section")
-        return data
-    if data.get("suite") == "pagani-kernels-bench":
-        if "lanes" not in data or not isinstance(data["lanes"], dict):
-            raise structural(f"error: {path} has no 'lanes' section")
         return data
     if data.get("suite") == "pagani-scenarios-bench":
         for section, kind in (("transforms", list), ("sweep", dict),
@@ -182,43 +170,6 @@ def check_routing_bench(current: dict) -> list:
     return failures
 
 
-def check_kernels_bench(current: dict) -> list:
-    """Hard checks for a ``pagani-kernels-bench`` payload.
-
-    The payload carries its own expectation block (speedup floor plus
-    the host conditions under which it is enforced), so the gate
-    re-derives the failure list with the harness's own rules — one
-    source of truth for what "the compiled lane regressed" means."""
-    for extra in (REPO_ROOT / "benchmarks", REPO_ROOT / "src"):
-        if str(extra) not in sys.path:
-            sys.path.insert(0, str(extra))
-    from harness import kernels_bench_problems
-    failures = list(kernels_bench_problems(current))
-    print(f"{'lane':<8} {'integrand':<9} {'digits':>6} {'s/Meval':>8} "
-          f"{'vs numpy':>9}  agree")
-    for spec in sorted(current["lanes"]):
-        for r in current["lanes"][spec]:
-            speedup = r.get("speedup_vs_numpy")
-            print(
-                f"{spec:<8} {r['integrand']:<9} {r['digits']:>6} "
-                f"{r['s_per_meval']:>8.4f} "
-                f"{f'{speedup:.2f}x' if speedup and spec != 'numpy' else '-':>9}"
-                f"  {'OK' if r['matches_numpy'] else 'MISMATCH'}"
-            )
-    exp = current["expectation"]
-    if exp["enforced_on_this_host"]:
-        got = current["numba_median_speedup_vs_numpy"]
-        print(f"numba median speedup {got:.2f}x "
-              f"(floor {exp['min_speedup_vs_numpy']}x, enforced)")
-    elif current["skipped_lanes"]:
-        print(f"skipped lanes: {', '.join(current['skipped_lanes'])} — "
-              "speedup expectation recorded, not enforced on this host")
-    else:
-        print(f"host has {current['host']['cpus']} core(s) < "
-              f"{exp['min_cores']} — speedup expectation not enforced")
-    return failures
-
-
 def check_scenarios_bench(current: dict) -> list:
     """Hard checks for a ``pagani-scenarios-bench`` payload.
 
@@ -282,15 +233,6 @@ def main(argv=None) -> int:
     current = load(args.current)
     if current.get("suite") == "pagani-routing-bench":
         failures = check_routing_bench(current)
-        if failures:
-            print("\nFAIL:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print("\nbenchmark gate OK")
-        return 0
-    if current.get("suite") == "pagani-kernels-bench":
-        failures = check_kernels_bench(current)
         if failures:
             print("\nFAIL:", file=sys.stderr)
             for f in failures:
