@@ -12,13 +12,13 @@ module that regenerates the corresponding series.  This module provides:
   figures share runs the same way),
 * result rows, CSV artifact writing into ``benchmarks/results/``, and
   aligned text tables printed with a paper-vs-measured header,
-* the execution-backend benchmark: the Fig. 5/6 PAGANI workloads run once
-  per available array backend (numpy / threaded / process), emitting the
-  machine-readable ``results/BENCH_backends.json`` perf-regression
-  baseline.  Run it directly::
+* the wall-clock scenario benchmarks (backends, batch, service, process,
+  http, routing, scenarios): each writes ``results/BENCH_<scenario>.json``
+  in one row/check schema, and the run exits 1 if any row or check fails
+  its claim.  Run them directly::
 
-      PYTHONPATH=src python benchmarks/harness.py            # all backends
-      PYTHONPATH=src python benchmarks/harness.py --smoke    # CI-sized
+      PYTHONPATH=src python benchmarks/harness.py all                 # full
+      PYTHONPATH=src python benchmarks/harness.py all --smoke --out /tmp/bench
 
 Times reported for GPU methods are the *simulated* device seconds (so the
 series are deterministic and hardware independent); Cuhre is charged to the
@@ -29,8 +29,12 @@ measured separately by pytest-benchmark in ``bench_kernels.py``.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
+import statistics
+import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -410,219 +414,188 @@ def fmt_e(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Execution-backend benchmark (BENCH_backends.json)
+# Scenario benchmarks: benchmarks/results/BENCH_<scenario>.json
 #
-# The fig5/fig6 PAGANI workloads, run once per array backend.  Simulated
-# time is backend-invariant (the virtual device charges the same kernels);
-# the interesting columns are wall-clock seconds — the first real-hardware
-# perf baseline — and the estimate/errorest agreement against the numpy
-# reference, which the conformance tests also enforce.
-# ---------------------------------------------------------------------------
-BACKEND_BENCH_FILE = "BENCH_backends.json"
-
-
-def backend_bench_workloads(smoke: bool = False) -> Dict[str, tuple]:
-    """``{name: (integrand, digit_list)}`` for the backend benchmark.
-
-    The default set is the union of the Fig. 5 and Fig. 6 integrands with
-    their quick/full digit ranges; ``--smoke`` shrinks it to one tiny
-    workload for CI.
-    """
-    from repro.integrands.catalog import named_integrand
-
-    # Members resolve through the catalogue (display name "5D f4" is the
-    # spec "5D-f4"), so each carries its canonical `spec` — the identity
-    # the process backend ships to worker processes.  The integrands are
-    # the same objects the fig5/fig6 sweeps build; the catalogue is just
-    # the canonical constructor.
-    if smoke:
-        names = ["3D f4"]
-        digits = {"3D f4": [3]}
-    else:
-        names = list({**sweep_integrands(), **speedup_integrands()})
-        digits = {name: digits_for(name) for name in names}
-    return {
-        name: (named_integrand(name.replace(" ", "-")), digits[name])
-        for name in names
-    }
-
-
-def run_backend_bench(
-    backends: Optional[Sequence[str]] = None, smoke: bool = False
-) -> dict:
-    """Run the PAGANI workloads once per backend; return the JSON payload."""
-    import platform
-    import sys as _sys
-
-    from repro.backends import (
-        BackendUnavailableError,
-        available_backends,
-        get_backend,
-    )
-
-    if backends is None:
-        backends = available_backends()
-    workloads = backend_bench_workloads(smoke=smoke)
-
-    per_backend: Dict[str, List[dict]] = {}
-    skipped: List[str] = []
-    for spec in backends:
-        try:
-            get_backend(spec)
-        except BackendUnavailableError as exc:
-            print(f"skipping backend {spec!r}: {exc}", file=_sys.stderr)
-            skipped.append(spec)
-            continue
-        rows: List[dict] = []
-        for name, (integrand, digit_list) in workloads.items():
-            splits = INITIAL_SPLITS.get(name)
-            for digits in digit_list:
-                cfg = PaganiConfig(
-                    rel_tol=10.0**-digits,
-                    relerr_filtering=integrand.sign_definite,
-                    max_iterations=35,
-                    backend=spec,
-                )
-                if splits is not None:
-                    cfg.initial_splits = splits
-                res = PaganiIntegrator(cfg, device=bench_device()).integrate(
-                    integrand, integrand.ndim
-                )
-                rows.append(
-                    {
-                        "integrand": name,
-                        "digits": digits,
-                        "converged": res.converged,
-                        "status": res.status.value,
-                        "estimate": res.estimate,
-                        "errorest": res.errorest,
-                        "wall_seconds": res.wall_seconds,
-                        "sim_seconds": res.sim_seconds,
-                        "neval": res.neval,
-                        "nregions": res.nregions,
-                    }
-                )
-        per_backend[spec] = rows
-
-    # Agreement flags against the numpy reference rows.  Host backends
-    # (numpy/threaded/process) share the array library and must be
-    # bit-identical; any other backend (a user-registered device lane,
-    # say) is held to machine-precision agreement, matching the
-    # conformance suite.
-    ref = {(r["integrand"], r["digits"]): r for r in per_backend.get("numpy", [])}
-    for spec, rows in per_backend.items():
-        exact = spec == "numpy" or spec.startswith(("threaded", "process"))
-        for r in rows:
-            base = ref.get((r["integrand"], r["digits"]))
-            if base is None:
-                r["matches_numpy"] = False
-            elif exact:
-                r["matches_numpy"] = (
-                    r["estimate"] == base["estimate"]
-                    and r["errorest"] == base["errorest"]
-                )
-            else:
-                r["matches_numpy"] = math.isclose(
-                    r["estimate"], base["estimate"], rel_tol=1e-12, abs_tol=0.0
-                ) and math.isclose(
-                    r["errorest"], base["errorest"], rel_tol=1e-9,
-                    abs_tol=1e-300,
-                )
-
-    return {
-        "schema": 1,
-        "suite": "pagani-backend-bench",
-        "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "device_mb": BENCH_DEVICE_MB,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "skipped_backends": skipped,
-        "backends": per_backend,
-    }
-
-
-def _write_bench_json(data: dict, out: Optional[Path], default_name: str) -> Path:
-    """Write a benchmark payload as pretty JSON; return the path."""
-    import json
-
-    path = Path(out) if out is not None else RESULTS_DIR / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_backend_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the backend-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, BACKEND_BENCH_FILE)
-
-
-def print_backend_bench(data: dict) -> None:
-    """Aligned wall-time table with per-backend speedup over numpy."""
-    backends = sorted(data["backends"])
-    if not backends:
-        print("no backends ran")
-        return
-    ref_rows = {
-        (r["integrand"], r["digits"]): r
-        for r in data["backends"].get("numpy", [])
-    }
-    keys: List[tuple] = []
-    for spec in backends:
-        for r in data["backends"][spec]:
-            k = (r["integrand"], r["digits"])
-            if k not in keys:
-                keys.append(k)
-    body = []
-    for name, digits in keys:
-        row = [name, digits]
-        for spec in backends:
-            match = [
-                r for r in data["backends"][spec]
-                if r["integrand"] == name and r["digits"] == digits
-            ]
-            if not match:
-                row.append("-")
-                continue
-            r = match[0]
-            cell = f"{r['wall_seconds'] * 1e3:.0f}ms"
-            base = ref_rows.get((name, digits))
-            if base is not None and spec != "numpy" and r["wall_seconds"] > 0:
-                cell += f" ({base['wall_seconds'] / r['wall_seconds']:.2f}x)"
-            if not r["converged"]:
-                cell += " DNF"
-            row.append(cell)
-        body.append(row)
-    print_table(
-        f"Backend benchmark ({data['mode']} mode) — wall time, speedup vs numpy",
-        ["integrand", "digits"] + backends,
-        body,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched-execution benchmark (BENCH_batch.json)
+# Every wall-clock and agreement claim the repo makes is measured by one
+# scenario function in SCENARIOS.  A scenario returns rows in one schema
+# (ROW_FIELDS) and the checks (CHECK_FIELDS) its claims need; run(),
+# write(), print_payload() and problems() serve every scenario alike.
 #
-# The batched multi-integrand layer (repro.batch) claims that interleaving
-# many PAGANI runs over one shared backend beats running them back-to-back.
-# This benchmark measures exactly that: the full six-family Genz suite at
-# several dimensionalities, integrated once sequentially (a loop of
-# integrate() calls) and once through integrate_many(), per backend.  The
-# recorded speedup is the batched-vs-sequential wall-clock throughput
-# ratio; on the numpy backend the per-member results are additionally
-# checked bit-identical across the two modes.
+#   PYTHONPATH=src python benchmarks/harness.py all --smoke --out /tmp/bench
+#   PYTHONPATH=src python benchmarks/harness.py service http
 # ---------------------------------------------------------------------------
-BATCH_BENCH_FILE = "BENCH_batch.json"
+#: one benchmark row: ``wall_s`` is wall-clock seconds for the lane's
+#: whole workload, ``neval`` the integrand evaluations its results report
+#: (cache replays report the evaluations they serve), and ``agrees`` is
+#: True/False against the scenario's reference or None where the row is
+#: the reference or has none.
+ROW_FIELDS = (
+    "scenario", "workload", "lane", "wall_s", "neval", "s_per_meval",
+    "converged", "agrees",
+)
+#: one expectation: a check that is not ``enforced`` (e.g. a multi-core
+#: speedup on a small host) is recorded but never fatal
+CHECK_FIELDS = ("name", "value", "bound", "enforced", "ok")
 
-#: tolerance/iteration budget for the batch workload; coarse enough that
-#: every member converges at laptop scale, fine enough that the evaluate
-#: sweep dominates wall time.
+#: the only rate rule: on the backends scenario, numpy's median s/Meval
+#: may be at most this multiple of the committed baseline's.  Generous on
+#: purpose: the smoke workload differs from the committed one and shared
+#: runners jitter, but real pathologies blow through 3x anyway.
+RATE_TOLERANCE = 3.0
+
 BATCH_REL_TOL = 1e-4
 BATCH_MAX_ITERATIONS = 30
 
+#: service/HTTP: duplicate factor of the job mix — every unique job
+#: appears this many times, so a perfect cache turns K runs into 1 run +
+#: (K-1) replays
+SERVICE_DUPLICATE_FACTOR = 8
+SERVICE_SMOKE_DUPLICATE_FACTOR = 3
+HTTP_SMOKE_DUPLICATE_FACTOR = 5
+SERVICE_MAX_CONCURRENT = 4
+SERVICE_MIN_CACHE_SPEEDUP = 5.0
+HTTP_MIN_WARM_HIT_RATE = 0.5
+HTTP_MIN_RESTART_HIT_RATE = 0.9
 
+#: process: the >=3x-over-numpy expectation only applies on hosts with
+#: at least this many cores (a small host records the speedup honestly)
+PROCESS_BENCH_MIN_CORES = 4
+PROCESS_BENCH_MIN_SPEEDUP = 3.0
+PROCESS_REL_TOL = 1e-4
+PROCESS_MAX_ITERATIONS = 35
+
+#: routing: auto wall clock may exceed the best fixed backend by at most
+#: this factor (smoke runs relax it: timer noise on sub-second traces is
+#: larger than the margin under test); shm must beat pickling on >=
+#: ROUTING_IPC_MIN_CORES cores
+ROUTING_AUTO_MAX_RATIO = 1.10
+ROUTING_AUTO_MAX_RATIO_SMOKE = 1.50
+ROUTING_IPC_MIN_CORES = 4
+ROUTING_TINY_REL_TOL = 1e-3
+
+#: workload space: one canonical transform spec per family
+SCENARIO_TRANSFORMS = (
+    "semi_infinite(3D-f4, scale=2.0)",
+    "infinite(2D-genz-gaussian, scale=1.5)",
+    "gaussian_measure(2D-f4, mean=0.5, sigma=0.8)",
+)
+SCENARIO_SWEEP = "sweep:gaussian_measure(2D-f4, sigma=0.5;0.8;1.0)"
+#: watchdog=1 forces the PAGANI attempt to fail so the ladder runs; the
+#: rung tolerance is reachable by two_phase
+SCENARIO_ESCALATION = {
+    "spec": "3D-f4",
+    "rel_tol": 1e-6,
+    "escalation": "two_phase>qmc;watchdog=1",
+}
+SCENARIOS_REL_TOL = 1e-4
+
+
+def _row(workload: str, lane: str, wall_s: float, results,
+         agrees: Optional[bool]) -> dict:
+    """A row for the results one lane produced on one workload."""
+    neval = sum(int(r.neval) for r in results)
+    return {
+        "workload": workload,
+        "lane": lane,
+        "wall_s": wall_s,
+        "neval": neval,
+        "s_per_meval": wall_s / max(neval, 1) * 1e6,
+        "converged": all(r.converged for r in results),
+        "agrees": agrees,
+    }
+
+
+def _check(name: str, value, bound, ok: bool, enforced: bool = True) -> dict:
+    return {
+        "name": name, "value": value, "bound": bound,
+        "enforced": bool(enforced), "ok": bool(ok),
+    }
+
+
+def _timed(fn, *args, **kwargs) -> tuple:
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
+def _same_bits(a, b) -> bool:
+    """The bit-identity contract (same chunk decomposition)."""
+    return (
+        a.estimate == b.estimate and a.errorest == b.errorest
+        and a.iterations == b.iterations and a.neval == b.neval
+    )
+
+
+def _close(a, b) -> bool:
+    """The machine-precision contract (a different fused chunk grain)."""
+    return math.isclose(
+        a.estimate, b.estimate, rel_tol=1e-12, abs_tol=0.0
+    ) and math.isclose(a.errorest, b.errorest, rel_tol=1e-9, abs_tol=1e-300)
+
+
+#: fixed lane order, numpy (the reference) first.  The routing ratios
+#: depend on it: the lane timed right after the process lane closes its
+#: pool runs slow, and in this order that lane is auto (ROADMAP item 4).
+LANE_ORDER = ("numpy", "threaded", "process")
+
+
+def _host_lanes() -> List[str]:
+    """Usable backends on this host, in LANE_ORDER."""
+    from repro.backends import available_backends
+
+    rank = {spec: i for i, spec in enumerate(LANE_ORDER)}
+    return sorted(available_backends(),
+                  key=lambda spec: (rank.get(spec, len(rank)), spec))
+
+
+def _warm_rules(members) -> None:
+    """Build the host-side rule cache so no timed lane pays for it."""
+    from repro.cubature.rules import get_rule
+
+    for f in members:
+        get_rule(f.ndim)
+
+
+def _catalogue(specs) -> List[Integrand]:
+    from repro.integrands.catalog import named_integrand
+
+    return [named_integrand(spec) for spec in specs]
+
+
+# --- backends: the fig5/fig6 PAGANI workloads once per backend --------------
+def scenario_backends(smoke: bool) -> tuple:
+    """Per-backend wall time; host lanes are bit-identical to numpy."""
+    names = ["3D f4"] if smoke else list(
+        {**sweep_integrands(), **speedup_integrands()}
+    )
+    # The catalogue builds the same integrands the figure sweeps use, and
+    # gives each its canonical spec: what the process backend ships.
+    integrands = dict(zip(names, _catalogue(n.replace(" ", "-") for n in names)))
+    rows, reference = [], {}
+    for spec in _host_lanes():
+        for name, f in integrands.items():
+            for digits in [3] if smoke else digits_for(name):
+                cfg = PaganiConfig(
+                    rel_tol=10.0**-digits,
+                    relerr_filtering=f.sign_definite,
+                    max_iterations=35,
+                    backend=spec,
+                )
+                if name in INITIAL_SPLITS:
+                    cfg.initial_splits = INITIAL_SPLITS[name]
+                res = PaganiIntegrator(cfg, device=bench_device()).integrate(
+                    f, f.ndim
+                )
+                workload = f"{name} d{digits}"
+                base = reference.setdefault(workload, res)
+                rows.append(_row(
+                    workload, spec, res.wall_seconds, [res],
+                    None if base is res else _same_bits(res, base),
+                ))
+    return rows, []
+
+
+# --- batch: integrate_many vs a loop of integrate() --------------------------
 def batch_bench_members(smoke: bool = False) -> List[Integrand]:
     """The batch workload: all six Genz families × several dimensions."""
     from repro.integrands.genz import GenzFamily, make_genz
@@ -641,165 +614,45 @@ def batch_bench_members(smoke: bool = False) -> List[Integrand]:
     ]
 
 
-def run_batch_bench(
-    backends: Optional[Sequence[str]] = None, smoke: bool = False
-) -> dict:
-    """Time sequential vs batched execution per backend; return the payload."""
-    import math as _math
-    import platform
-    import sys as _sys
-    import time as _time
+def scenario_batch(smoke: bool) -> tuple:
+    """Sequential vs batched throughput per backend.
 
+    Batched numpy reproduces the sequential bits exactly; the parallel
+    backends batch at a different fused chunk grain and are held to
+    machine precision.
+    """
     from repro.api import integrate, integrate_many
-    from repro.backends import (
-        BackendUnavailableError,
-        available_backends,
-        get_backend,
-    )
-    from repro.cubature.rules import get_rule
+    from repro.backends import get_backend
 
-    if backends is None:
-        backends = available_backends()
     members = batch_bench_members(smoke=smoke)
-    for f in members:  # warm the host-side rule cache so neither mode pays it
-        get_rule(f.ndim)
-
-    per_backend: Dict[str, dict] = {}
-    skipped: List[str] = []
-    for spec in backends:
-        try:
-            bk = get_backend(spec)
-        except BackendUnavailableError as exc:
-            print(f"skipping backend {spec!r}: {exc}", file=_sys.stderr)
-            skipped.append(spec)
-            continue
-
-        t0 = _time.perf_counter()
-        seq = [
-            integrate(
-                f, f.ndim, rel_tol=BATCH_REL_TOL, backend=bk,
-                max_iterations=BATCH_MAX_ITERATIONS,
-            )
-            for f in members
+    _warm_rules(members)
+    opts = dict(rel_tol=BATCH_REL_TOL, max_iterations=BATCH_MAX_ITERATIONS)
+    rows, reference = [], None
+    for spec in _host_lanes():
+        bk = get_backend(spec)
+        seq, t_seq = _timed(
+            lambda: [integrate(f, f.ndim, backend=bk, **opts) for f in members]
+        )
+        bat, t_bat = _timed(integrate_many, members, backend=bk, **opts)
+        if reference is None:
+            reference = seq
+        same = _same_bits if spec == "numpy" else _close
+        rows += [
+            _row("sequential", spec, t_seq, seq,
+                 None if seq is reference
+                 else all(map(_same_bits, seq, reference))),
+            _row("batched", spec, t_bat, bat, all(map(same, bat, seq))),
         ]
-        t_seq = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        bat, stats = integrate_many(
-            members, rel_tol=BATCH_REL_TOL, backend=bk,
-            max_iterations=BATCH_MAX_ITERATIONS, return_stats=True,
-        )
-        t_bat = _time.perf_counter() - t0
-
-        # Agreement contract: numpy batched must reproduce sequential bits
-        # exactly; parallel backends run a different fused chunk grain and
-        # are held to machine-precision agreement.
-        rows: List[dict] = []
-        for f, rs, rb in zip(members, seq, bat):
-            if bk.name == "numpy":
-                matches = (
-                    rs.estimate == rb.estimate
-                    and rs.errorest == rb.errorest
-                    and rs.iterations == rb.iterations
-                )
-            else:
-                matches = _math.isclose(
-                    rs.estimate, rb.estimate, rel_tol=1e-12, abs_tol=0.0
-                ) and _math.isclose(
-                    rs.errorest, rb.errorest, rel_tol=1e-9, abs_tol=1e-300
-                )
-            rows.append(
-                {
-                    "integrand": f.name,
-                    "ndim": f.ndim,
-                    "status": rb.status.value,
-                    "converged": rb.converged,
-                    "estimate": rb.estimate,
-                    "errorest": rb.errorest,
-                    "iterations": rb.iterations,
-                    "sequential_wall_seconds": rs.wall_seconds,
-                    "matches_sequential": matches,
-                }
-            )
-        per_backend[spec] = {
-            "sequential_seconds": t_seq,
-            "batched_seconds": t_bat,
-            "speedup": t_seq / t_bat if t_bat > 0 else float("inf"),
-            "rounds": stats.rounds,
-            "fused_chunks": stats.chunks_submitted,
-            "members": rows,
-        }
-
-    return {
-        "schema": 1,
-        "suite": "pagani-batch-bench",
-        "mode": "smoke" if smoke else "full",
-        "rel_tol": BATCH_REL_TOL,
-        "n_members": len(members),
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "skipped_backends": skipped,
-        "backends": per_backend,
-    }
+    return rows, []
 
 
-def write_batch_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the batch-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, BATCH_BENCH_FILE)
-
-
-def print_batch_bench(data: dict) -> None:
-    body = []
-    for spec in sorted(data["backends"]):
-        d = data["backends"][spec]
-        n_ok = sum(r["converged"] for r in d["members"])
-        n_match = sum(r["matches_sequential"] for r in d["members"])
-        body.append(
-            [
-                spec,
-                f"{d['sequential_seconds']:.2f}s",
-                f"{d['batched_seconds']:.2f}s",
-                f"{d['speedup']:.2f}x",
-                f"{n_ok}/{len(d['members'])}",
-                f"{n_match}/{len(d['members'])}",
-            ]
-        )
-    print_table(
-        f"Batched vs sequential ({data['mode']}, {data['n_members']} Genz "
-        f"members, rel_tol={data['rel_tol']:g})",
-        ["backend", "sequential", "batched", "speedup", "converged", "agree"],
-        body,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Service benchmark (BENCH_service.json)
-#
-# The integration service (repro.service) claims three things worth
-# regression-gating: (1) a duplicate-heavy job mix is served ~K× faster
-# with the result cache on (K = duplicate factor) because hits replay the
-# cached IntegrationResult instead of recomputing; (2) those replays are
-# bit-identical to cold fresh runs on the numpy backend; (3) under
-# contention, completion order follows job priority (the weighted
-# rotation).  This benchmark measures all three on the fig5/fig6 paper
-# workloads (6D f6 is excluded: without the aligned initial split it is a
-# documented memory-exhaustion case, not a serving workload).
-# ---------------------------------------------------------------------------
-SERVICE_BENCH_FILE = "BENCH_service.json"
-
-#: duplicate factor of the job mix — every unique job appears this many
-#: times, so a perfect cache turns K runs into 1 run + (K-1) replays.
-SERVICE_DUPLICATE_FACTOR = 8
-SERVICE_SMOKE_DUPLICATE_FACTOR = 3
-SERVICE_MAX_CONCURRENT = 4
-
-
+# --- service: duplicate-heavy job mix through IntegrationService -------------
 def service_bench_jobs(smoke: bool = False) -> List[dict]:
-    """The unique jobs of the duplicate-heavy mix (jobs-file shape)."""
+    """The unique jobs of the duplicate-heavy mix (jobs-file shape).
+
+    The fig5/fig6 paper workloads without 6D f6, which needs its aligned
+    initial split to fit in memory.
+    """
     if smoke:
         combos = [("3D-f4", 3, 2), ("3D-f3", 3, 1)]
     else:
@@ -822,17 +675,24 @@ def service_bench_jobs(smoke: bool = False) -> List[dict]:
     ]
 
 
-def _run_service_mix(
-    jobs: List[dict], cache: bool, waves: int = 1, shards: int = 1
-) -> tuple:
-    """Run the mix through a fresh service ``waves`` times.
+def _duplicate_mix(unique: List[dict], k: int) -> tuple:
+    """(mix, references): the jobs interleaved k times (A B C A B C ...),
+    so duplicates arrive while their twin may still be in flight, and the
+    cold integrate() results every served result must reproduce bit for
+    bit."""
+    from repro.api import integrate
 
-    Returns ``(per_wave_handles, per_wave_walls, stats)``.  Wave 1 on a
-    cache-enabled service exercises misses + in-flight coalescing; later
-    waves are pure warm-cache replays.
-    """
-    import time as _time
+    references = {}
+    for job, f in zip(unique, _catalogue(j["integrand"] for j in unique)):
+        references[job["label"]] = integrate(
+            f, f.ndim, rel_tol=job["rel_tol"],
+            max_iterations=job["max_iterations"],
+        )
+    return [dict(job) for _ in range(k) for job in unique], references
 
+
+def _serve_waves(jobs: List[dict], cache: bool, waves: int, shards: int) -> list:
+    """[(handles, wall)] for ``waves`` passes of the mix through one service."""
     from repro.api import serve_jobs
     from repro.service import IntegrationService
 
@@ -840,248 +700,83 @@ def _run_service_mix(
         max_concurrent=SERVICE_MAX_CONCURRENT, backend="numpy", cache=cache,
         shards=shards,
     )
-    per_wave_handles, per_wave_walls = [], []
     try:
-        for _ in range(waves):
-            t0 = _time.perf_counter()
-            per_wave_handles.append(serve_jobs(jobs, service=service))
-            per_wave_walls.append(_time.perf_counter() - t0)
-        stats = service.stats()
+        return [_timed(serve_jobs, jobs, service=service) for _ in range(waves)]
     finally:
         service.shutdown(wait=True)
-    return per_wave_handles, per_wave_walls, stats
 
 
-def run_service_bench(smoke: bool = False, shards: int = 1) -> dict:
-    """Measure cache-hit speedup, bit-identity and priority order.
-
-    ``shards`` serves every pass with that many worker rotations pulling
-    from the shared queue/cache (the committed artifact uses 1; the
-    sharded lane exists to evidence that the caching/priority claims are
-    shard-count independent).
-    """
-    import platform
-    import time as _time
-
-    from repro.api import integrate
-    from repro.integrands.catalog import named_integrand
+def _priority_order(smoke: bool) -> List[int]:
+    """Completion order of equal-work jobs submitted all at once."""
     from repro.service import IntegrationService
 
-    unique = service_bench_jobs(smoke=smoke)
-    k = SERVICE_SMOKE_DUPLICATE_FACTOR if smoke else SERVICE_DUPLICATE_FACTOR
-    # Interleave the copies (A B C A B C ...) so duplicates arrive while
-    # their twin may still be in flight — exercising both cache hits and
-    # in-flight coalescing, like real duplicate traffic would.
-    mix = [dict(job) for _ in range(k) for job in unique]
-
-    # Cold reference runs: plain integrate() calls, the bit-identity anchor.
-    references = {}
-    for job in unique:
-        f = named_integrand(job["integrand"])
-        references[job["label"]] = integrate(
-            f, f.ndim, rel_tol=job["rel_tol"],
-            max_iterations=job["max_iterations"],
-        )
-
-    (nocache_handles,), (nocache_wall,), nocache_stats = _run_service_mix(
-        mix, cache=False, shards=shards
-    )
-    cached_waves, cached_walls, cached_stats = _run_service_mix(
-        mix, cache=True, waves=2, shards=shards
-    )
-    cached_handles, replay_handles = cached_waves
-    cached_wall, replay_wall = cached_walls
-
-    def mismatches_vs_reference(handles) -> List[str]:
-        bad = []
-        for h in handles:
-            ref = references[h.spec.label]
-            res = h.result(timeout=0)
-            if not (
-                res.estimate == ref.estimate
-                and res.errorest == ref.errorest
-                and res.iterations == ref.iterations
-                and res.neval == ref.neval
-            ):
-                bad.append(h.spec.label)
-        return sorted(set(bad))
-
-    cache_info = cached_stats["cache"]
-    served_without_run = cache_info["hits"] + cached_stats["coalesced"]
-    payload_runs = {
-        "no_cache": {
-            "wall_seconds": nocache_wall,
-            "jobs_per_second": len(mix) / nocache_wall,
-            "rounds": nocache_stats["rounds"],
-        },
-        # Wave 1: duplicates arrive while their twin is in flight —
-        # served by misses + coalescing.  Wave 2 resubmits the whole mix
-        # against the warm cache — every job is a pure LRU replay.
-        "with_cache": {
-            "wall_seconds": cached_wall,
-            "jobs_per_second": len(mix) / cached_wall,
-            "rounds": cached_stats["rounds"],
-            "cache": cache_info,
-            "coalesced": cached_stats["coalesced"],
-            "served_without_recompute": served_without_run,
-        },
-        "warm_replay": {
-            "wall_seconds": replay_wall,
-            "jobs_per_second": len(mix) / replay_wall,
-            "all_cache_hits": all(h.cache_hit for h in replay_handles),
-        },
-    }
-
-    # Priority-order evidence: equal-work jobs, all live at once — the
-    # weighted rotation must complete them in priority order.
-    prio_spec, prio_digits = ("3D-f4", 3) if smoke else ("5D-f4", 4)
-    priorities = [1, 2, 4, 8]
-    service = IntegrationService(
-        max_concurrent=len(priorities), backend="numpy", cache=False
-    )
+    spec, digits = ("3D-f4", 3) if smoke else ("5D-f4", 4)
+    service = IntegrationService(max_concurrent=4, backend="numpy", cache=False)
     try:
-        prio_handles = {
+        handles = {
             p: service.submit(
-                prio_spec, rel_tol=10.0 ** -prio_digits, priority=p,
-                max_iterations=35, label=f"prio{p}",
+                spec, rel_tol=10.0 ** -digits, priority=p, max_iterations=35,
+                label=f"prio{p}",
             )
-            for p in priorities
+            for p in (1, 2, 4, 8)
         }
         service.wait_all()
     finally:
         service.shutdown(wait=True)
-    completion_order = [
-        p for p, h in sorted(
-            prio_handles.items(), key=lambda kv: kv[1].stats.completion_index
-        )
-    ]
-
-    return {
-        "schema": 2,
-        "suite": "pagani-service-bench",
-        "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "generated_by": "PYTHONPATH=src python benchmarks/harness.py --service",
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "backend": "numpy",
-        "max_concurrent": SERVICE_MAX_CONCURRENT,
-        "shards": shards,
-        "duplicate_factor": k,
-        "unique_jobs": unique,
-        "n_jobs": len(mix),
-        "runs": payload_runs,
-        "cache_speedup": nocache_wall / cached_wall if cached_wall > 0 else float("inf"),
-        "warm_replay_speedup": (
-            nocache_wall / replay_wall if replay_wall > 0 else float("inf")
-        ),
-        "bit_identity": {
-            "no_cache_mismatches": mismatches_vs_reference(nocache_handles),
-            "with_cache_mismatches": mismatches_vs_reference(cached_handles),
-            "warm_replay_mismatches": mismatches_vs_reference(replay_handles),
-        },
-        "priority_order": {
-            "job": f"{prio_spec} d{prio_digits}",
-            "priorities_submitted": priorities,
-            "completion_order": completion_order,
-            "in_priority_order": completion_order
-            == sorted(priorities, reverse=True),
-        },
-    }
+    return sorted(handles, key=lambda p: handles[p].stats.completion_index)
 
 
-def write_service_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the service-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, SERVICE_BENCH_FILE)
+def scenario_service(smoke: bool) -> tuple:
+    """Cache-hit speedup, bit-identical replays, priority order.
+
+    Each workload runs the mix with the cache off, then twice against one
+    cache-enabled service: wave 1 is served by misses plus in-flight
+    coalescing, wave 2 entirely by LRU replays.  The 2-shard workload
+    shows the claims do not depend on the shard count.
+    """
+    k = SERVICE_SMOKE_DUPLICATE_FACTOR if smoke else SERVICE_DUPLICATE_FACTOR
+    mix, references = _duplicate_mix(service_bench_jobs(smoke=smoke), k)
+    rows, checks = [], []
+    for shards in (1, 2):
+        workload = "duplicate mix" + ("" if shards == 1 else ", 2 shards")
+        (no_cache,) = _serve_waves(mix, cache=False, waves=1, shards=shards)
+        cold, warm = _serve_waves(mix, cache=True, waves=2, shards=shards)
+        for lane, (handles, wall) in (
+            ("no_cache", no_cache), ("with_cache", cold), ("warm_replay", warm)
+        ):
+            results = [h.result(timeout=0) for h in handles]
+            rows.append(_row(workload, lane, wall, results, all(
+                _same_bits(r, references[h.spec.label])
+                for h, r in zip(handles, results)
+            )))
+        speedup = no_cache[1] / cold[1]
+        checks.append(_check(
+            f"{workload}: cache speedup", speedup, SERVICE_MIN_CACHE_SPEEDUP,
+            speedup >= SERVICE_MIN_CACHE_SPEEDUP,
+            enforced=shards == 1 and not smoke,
+        ))
+        # A cold-wave cache_hit is an LRU hit or a coalesced duplicate.
+        # Concurrent admission may start one run per shard for the same
+        # job, never more, so all but shards x unique jobs are served.
+        served = sum(h.cache_hit for h in cold[0])
+        floor = len(mix) - shards * len(references)
+        hits = sum(h.cache_hit for h in warm[0])
+        checks += [
+            _check(f"{workload}: duplicates served without recompute",
+                   served, floor, served >= floor),
+            _check(f"{workload}: warm replay cache hits", hits, len(mix),
+                   hits == len(mix)),
+        ]
+    order = _priority_order(smoke)
+    checks.append(_check(
+        "priority completion order", order, [8, 4, 2, 1], order == [8, 4, 2, 1]
+    ))
+    return rows, checks
 
 
-def print_service_bench(data: dict) -> None:
-    runs = data["runs"]
-    body = [
-        [
-            "no_cache",
-            f"{runs['no_cache']['wall_seconds']:.2f}s",
-            f"{runs['no_cache']['jobs_per_second']:.2f}",
-            "-", "-",
-        ],
-        [
-            "with_cache",
-            f"{runs['with_cache']['wall_seconds']:.2f}s",
-            f"{runs['with_cache']['jobs_per_second']:.2f}",
-            f"{runs['with_cache']['cache']['hits']}"
-            f"+{runs['with_cache']['coalesced']}c",
-            f"{data['cache_speedup']:.2f}x",
-        ],
-        [
-            "warm_replay",
-            f"{runs['warm_replay']['wall_seconds']:.2f}s",
-            f"{runs['warm_replay']['jobs_per_second']:.2f}",
-            "all",
-            f"{data['warm_replay_speedup']:.0f}x",
-        ],
-    ]
-    print_table(
-        f"Service benchmark ({data['mode']}, {data['n_jobs']} jobs = "
-        f"{len(data['unique_jobs'])} unique x{data['duplicate_factor']}, "
-        f"max_concurrent={data['max_concurrent']})",
-        ["pass", "wall", "jobs/s", "hits", "speedup"],
-        body,
-    )
-    prio = data["priority_order"]
-    print(
-        f"priority completion order: {prio['completion_order']} "
-        f"({'OK' if prio['in_priority_order'] else 'OUT OF ORDER'})"
-    )
-    bad = sorted(
-        set(
-            data["bit_identity"]["no_cache_mismatches"]
-            + data["bit_identity"]["with_cache_mismatches"]
-            + data["bit_identity"]["warm_replay_mismatches"]
-        )
-    )
-    print(
-        "bit-identity vs cold integrate(): "
-        + ("OK" if not bad else f"MISMATCH {bad}")
-    )
-
-
-# ---------------------------------------------------------------------------
-# HTTP service benchmark (BENCH_http.json)
-#
-# The HTTP front end (repro.service.http) + durable store
-# (repro.service.store) claim: a duplicate-heavy traffic trace served
-# over HTTP hits the content-addressed cache, and after a full server
-# restart the *durable* tier keeps serving those duplicates bit-for-bit
-# — no recomputation, no numeric drift across the process boundary.
-# The benchmark drives three waves of the same duplicate-heavy trace
-# through real HTTP requests:
-#
-#   cold          a fresh server + empty cache dir: uniques compute,
-#                 duplicates coalesce/hit the LRU;
-#   warm          same server, trace replayed: pure LRU replays;
-#   restart_warm  the server is STOPPED and a new one started on the
-#                 same cache dir (empty LRU): replays come from SQLite.
-#
-# Every result is checked bit-for-bit (float.hex fields over the wire)
-# against cold plain integrate() runs.
-# ---------------------------------------------------------------------------
-HTTP_BENCH_FILE = "BENCH_http.json"
-
-#: smoke trace: 2 unique jobs x this = 10 requests/wave, 20 over the
-#: cold+warm waves the CI lane replays against one server instance.
-HTTP_SMOKE_DUPLICATE_FACTOR = 5
-
-#: claims gated by --http (and by the committed-artifact test)
-HTTP_BENCH_MIN_WARM_HIT_RATE = 0.5
-HTTP_BENCH_MIN_RESTART_HIT_RATE = 0.9
-
-
+# --- http: cold / warm / restart-warm waves over real HTTP -------------------
 def _http_json(method: str, url: str, body: Optional[dict] = None) -> tuple:
     """One JSON request against the bench server; (status, payload)."""
-    import json
     import urllib.error
     import urllib.request
 
@@ -1097,13 +792,13 @@ def _http_json(method: str, url: str, body: Optional[dict] = None) -> tuple:
         return exc.code, json.loads(exc.read())
 
 
-def _run_http_wave(server, mix: List[dict], references: dict) -> dict:
-    """POST the whole trace, poll every result, verify bit-identity."""
-    import time as _time
+def _http_wave(server, lane: str, mix: List[dict], references: dict) -> tuple:
+    """POST the whole trace, poll every result; (row, cache hits)."""
+    from types import SimpleNamespace
 
     from repro.service.store import result_to_payload
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     job_ids = []
     for job in mix:
         code, body = _http_json("POST", server.url + "/v1/jobs", job)
@@ -1113,1113 +808,427 @@ def _run_http_wave(server, mix: List[dict], references: dict) -> dict:
     results = []
     for jid in job_ids:
         while True:
-            code, body = _http_json(
-                "GET", f"{server.url}/v1/jobs/{jid}/result"
-            )
+            code, body = _http_json("GET", f"{server.url}/v1/jobs/{jid}/result")
             if code == 200:
                 results.append(body)
                 break
             if code != 409:
                 raise RuntimeError(f"job {jid}: result -> {code}: {body}")
-            _time.sleep(0.02)
-    wall = _time.perf_counter() - t0
+            time.sleep(0.02)
+    wall = time.perf_counter() - t0
 
-    mismatches = []
+    agrees = True
     for job, res in zip(mix, results):
-        ref_hex = result_to_payload(references[job["label"]])
-        got_hex = res["result_hex"]
-        if not (
-            got_hex["estimate"] == ref_hex["estimate"]
-            and got_hex["errorest"] == ref_hex["errorest"]
-            and got_hex["iterations"] == ref_hex["iterations"]
-            and got_hex["neval"] == ref_hex["neval"]
-        ):
-            mismatches.append(job["label"])
-    hits = sum(1 for r in results if r["cache_hit"])
-    return {
-        "wall_seconds": wall,
-        "jobs_per_second": len(mix) / wall if wall > 0 else float("inf"),
-        "requests": len(mix),
-        "cache_hits": hits,
-        "cache_hit_fraction": hits / len(mix),
-        "fresh_runs": len(mix) - hits,
-        "all_converged": all(r["result"]["converged"] for r in results),
-        "replay_mismatches": sorted(set(mismatches)),
-    }
+        ref = result_to_payload(references[job["label"]])
+        agrees &= all(
+            res["result_hex"][field] == ref[field]
+            for field in ("estimate", "errorest", "iterations", "neval")
+        )
+    served = [
+        SimpleNamespace(neval=res["result_hex"]["neval"],
+                        converged=res["result"]["converged"])
+        for res in results
+    ]
+    row = _row("duplicate trace", lane, wall, served, agrees)
+    return row, sum(1 for res in results if res["cache_hit"])
 
 
-def run_http_bench(smoke: bool = False) -> dict:
-    """Drive the cold/warm/restart-warm HTTP traffic-trace benchmark."""
-    import platform
+def scenario_http(smoke: bool) -> tuple:
+    """Durable-store replays over HTTP, bit-identical to cold integrate().
+
+    cold: fresh server and empty cache dir (uniques compute, duplicates
+    coalesce or hit the LRU); warm: the same trace again (LRU replays);
+    restart_warm: a new server on the same cache dir with an empty LRU, so
+    every replay comes from the SQLite tier (float.hex over the wire).
+    """
     import shutil
     import tempfile
 
-    from repro.api import integrate, serve_http
-    from repro.integrands.catalog import named_integrand
+    from repro.api import serve_http
 
     unique = service_bench_jobs(smoke=smoke)
     k = HTTP_SMOKE_DUPLICATE_FACTOR if smoke else SERVICE_DUPLICATE_FACTOR
-    # Interleaved duplicates (A B A B ...): the cold wave exercises both
-    # in-flight coalescing and LRU hits, like real duplicate traffic.
-    mix = [dict(job) for _ in range(k) for job in unique]
-
-    references = {}
-    for job in unique:
-        f = named_integrand(job["integrand"])
-        references[job["label"]] = integrate(
-            f, f.ndim, rel_tol=job["rel_tol"],
-            max_iterations=job["max_iterations"],
-        )
-
+    mix, references = _duplicate_mix(unique, k)
     cache_dir = tempfile.mkdtemp(prefix="pagani-http-bench-")
     server_kwargs = dict(
         host="127.0.0.1", port=0, max_concurrent=SERVICE_MAX_CONCURRENT,
-        backend="numpy", cache_dir=cache_dir,
-        max_queued=len(mix) + 8,
+        backend="numpy", cache_dir=cache_dir, max_queued=len(mix) + 8,
     )
+    waves = {}
     try:
-        server = serve_http(**server_kwargs)
-        try:
-            cold = _run_http_wave(server, mix, references)
-            warm = _run_http_wave(server, mix, references)
-            _, first_metrics = _http_json("GET", server.url + "/metrics")
-        finally:
-            server.close()
-
-        # Restart: a brand-new process-equivalent — fresh service, fresh
-        # LRU — pointed at the same cache dir.  Replays must now come
-        # from the durable SQLite tier.
-        server = serve_http(**server_kwargs)
-        try:
-            restart_warm = _run_http_wave(server, mix, references)
-            _, restart_metrics = _http_json("GET", server.url + "/metrics")
-        finally:
-            server.close()
+        for lanes in (("cold", "warm"), ("restart_warm",)):
+            server = serve_http(**server_kwargs)
+            try:
+                for lane in lanes:
+                    waves[lane] = _http_wave(server, lane, mix, references)
+                _, metrics = _http_json("GET", server.url + "/metrics")
+            finally:
+                server.close()
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    cache_stats = restart_metrics["service"]["cache"]
-    restart_warm["durable_hits"] = cache_stats["durable_hits"]
-    restart_warm["durable_entries"] = cache_stats["durable"]["entries"]
-
-    return {
-        "schema": 1,
-        "suite": "pagani-http-bench",
-        "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "generated_by": "PYTHONPATH=src python benchmarks/harness.py --http",
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "backend": "numpy",
-        "max_concurrent": SERVICE_MAX_CONCURRENT,
-        "duplicate_factor": k,
-        "unique_jobs": unique,
-        "n_jobs_per_wave": len(mix),
-        "waves": {
-            "cold": cold,
-            "warm": warm,
-            "restart_warm": restart_warm,
-        },
-        "first_server_metrics": {
-            "http": first_metrics["http"],
-            "cache": first_metrics["service"]["cache"],
-            "coalesced": first_metrics["service"]["coalesced"],
-        },
-        "warm_speedup": (
-            cold["wall_seconds"] / warm["wall_seconds"]
-            if warm["wall_seconds"] > 0 else float("inf")
-        ),
-        "restart_warm_speedup": (
-            cold["wall_seconds"] / restart_warm["wall_seconds"]
-            if restart_warm["wall_seconds"] > 0 else float("inf")
-        ),
-        "expectation": {
-            "min_warm_hit_rate": HTTP_BENCH_MIN_WARM_HIT_RATE,
-            "min_restart_hit_rate": HTTP_BENCH_MIN_RESTART_HIT_RATE,
-        },
-    }
+    rows = [row for row, _ in waves.values()]
+    warm_rate = waves["warm"][1] / len(mix)
+    restart_hits = waves["restart_warm"][1]
+    # metrics of the restarted server: every hit it served was durable,
+    # from one store entry per unique job
+    durable_hits = metrics["service"]["cache"]["durable_hits"]
+    durable_entries = metrics["service"]["cache"]["durable"]["entries"]
+    checks = [
+        _check("warm hit rate", warm_rate, HTTP_MIN_WARM_HIT_RATE,
+               warm_rate >= HTTP_MIN_WARM_HIT_RATE),
+        _check("restart_warm hit rate", restart_hits / len(mix),
+               HTTP_MIN_RESTART_HIT_RATE,
+               restart_hits / len(mix) >= HTTP_MIN_RESTART_HIT_RATE),
+        _check("restart_warm fresh runs", len(mix) - restart_hits, 0,
+               restart_hits == len(mix)),
+        _check("restart_warm durable hits", durable_hits, len(unique),
+               durable_hits >= len(unique)),
+        _check("restart_warm durable entries", durable_entries, len(unique),
+               durable_entries == len(unique)),
+    ]
+    return rows, checks
 
 
-def http_bench_problems(data: dict) -> List[str]:
-    """The claims the --http run (and CI) must uphold; [] when clean."""
-    problems = []
-    waves = data["waves"]
-    for name, wave in waves.items():
-        if not wave["all_converged"]:
-            problems.append(f"{name} wave had non-converged jobs (DNF)")
-        if wave["replay_mismatches"]:
-            problems.append(
-                f"{name} wave disagrees with cold integrate(): "
-                f"{wave['replay_mismatches']}"
-            )
-    exp = data["expectation"]
-    if waves["warm"]["cache_hit_fraction"] < exp["min_warm_hit_rate"]:
-        problems.append(
-            f"warm wave hit rate {waves['warm']['cache_hit_fraction']:.2f} "
-            f"below {exp['min_warm_hit_rate']:.2f}"
-        )
-    restart = waves["restart_warm"]
-    if restart["cache_hit_fraction"] < exp["min_restart_hit_rate"]:
-        problems.append(
-            f"restart-warm hit rate {restart['cache_hit_fraction']:.2f} "
-            f"below {exp['min_restart_hit_rate']:.2f} — the durable store "
-            "did not survive the restart"
-        )
-    if restart["durable_hits"] < len(data["unique_jobs"]):
-        problems.append(
-            f"only {restart['durable_hits']} durable hits after restart "
-            f"(expected >= {len(data['unique_jobs'])} — one per unique job)"
-        )
-    return problems
-
-
-def write_http_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the HTTP-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, HTTP_BENCH_FILE)
-
-
-def print_http_bench(data: dict) -> None:
-    waves = data["waves"]
-    body = []
-    for name in ("cold", "warm", "restart_warm"):
-        w = waves[name]
-        body.append([
-            name,
-            f"{w['wall_seconds']:.2f}s",
-            f"{w['jobs_per_second']:.2f}",
-            f"{w['cache_hit_fraction']:.0%}",
-            str(w["fresh_runs"]),
-            "OK" if not w["replay_mismatches"] else "MISMATCH",
-        ])
-    print_table(
-        f"HTTP service benchmark ({data['mode']}, "
-        f"{data['n_jobs_per_wave']} jobs/wave = "
-        f"{len(data['unique_jobs'])} unique x{data['duplicate_factor']})",
-        ["wave", "wall", "jobs/s", "hit rate", "fresh", "bits"],
-        body,
-    )
-    restart = waves["restart_warm"]
-    print(
-        f"restart-warm wave: {restart['durable_hits']} durable-store hits, "
-        f"{restart['durable_entries']} entries on disk, "
-        f"{data['restart_warm_speedup']:.0f}x vs cold"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Process-backend benchmark (BENCH_process.json)
-#
-# The process backend (repro.backends.process) claims real multi-core
-# scaling on the fig5/fig6 multi-integrand workload: many PAGANI runs
-# batched through integrate_many, their fused evaluate chunks executed by
-# a pool of worker processes with no GIL in the way.  This benchmark
-# times that workload once per host backend (numpy / threaded / process)
-# and records the speedup over the numpy reference, plus the two
-# numerics contracts: plain integrate() on the process backend is
-# bit-identical to numpy (same chunk decomposition, conformance-suite
-# contract), and the batched results agree with sequential numpy runs to
-# machine precision (the fused-grain contract threaded already has).
-#
-# The headline >=3x-over-numpy expectation only applies on hosts with
-# >= PROCESS_BENCH_MIN_CORES cores — the artifact records the host core
-# count, and the regression test gates on it (a 1-core container can
-# regenerate the artifact honestly; a multi-core runner must show the
-# speedup).
-# ---------------------------------------------------------------------------
-PROCESS_BENCH_FILE = "BENCH_process.json"
-
-#: the speedup expectation is only enforced at or above this core count
-PROCESS_BENCH_MIN_CORES = 4
-PROCESS_BENCH_MIN_SPEEDUP = 3.0
-
-PROCESS_REL_TOL = 1e-4
-PROCESS_MAX_ITERATIONS = 35
-
-
+# --- process: the multi-integrand batch per host backend ---------------------
 def process_bench_members(smoke: bool = False) -> List[Integrand]:
-    """The fig5/fig6 multi-integrand workload, by catalogue spec.
-
-    Members carry their catalogue specs, so the process backend ships
-    every chunk to the worker pool.  (6D f6 is excluded for the same
-    reason the service bench excludes it: without the aligned initial
-    split it is a documented memory-exhaustion case, not a throughput
-    workload.)
-    """
-    from repro.integrands.catalog import named_integrand
-
-    specs = ["3d-f4"] * 2 if smoke else ["5d-f4", "5d-f5", "8d-f7"] * 3
-    return [named_integrand(spec) for spec in specs]
+    """The fig5/fig6 multi-integrand workload, by catalogue spec, so the
+    process backend ships every chunk to its worker pool."""
+    return _catalogue(["3d-f4"] * 2 if smoke else ["5d-f4", "5d-f5", "8d-f7"] * 3)
 
 
-def run_process_bench(
-    backends: Optional[Sequence[str]] = None, smoke: bool = False
-) -> dict:
-    """Time the multi-integrand workload per backend; return the payload."""
-    import math as _math
-    import platform
-    import sys as _sys
-    import time as _time
-
-    from repro.api import integrate, integrate_many
-    from repro.backends import BackendUnavailableError, get_backend
-    from repro.cubature.rules import get_rule
-
-    if backends is None:
-        backends = ["numpy", "threaded", "process"]
-    members = process_bench_members(smoke=smoke)
-    for f in members:  # warm the host-side rule cache so no mode pays it
-        get_rule(f.ndim)
-
-    # Sequential numpy reference runs: the agreement anchor for every
-    # backend's batched results.
-    references = [
-        integrate(
-            f, f.ndim, rel_tol=PROCESS_REL_TOL,
-            max_iterations=PROCESS_MAX_ITERATIONS,
-        )
-        for f in members
-    ]
-
-    per_backend: Dict[str, dict] = {}
-    skipped: List[str] = []
-    for spec in backends:
-        try:
-            bk = get_backend(spec)
-        except BackendUnavailableError as exc:
-            print(f"skipping backend {spec!r}: {exc}", file=_sys.stderr)
-            skipped.append(spec)
-            continue
-
-        t0 = _time.perf_counter()
-        results = integrate_many(
-            members, rel_tol=PROCESS_REL_TOL, backend=bk,
-            max_iterations=PROCESS_MAX_ITERATIONS,
-        )
-        wall = _time.perf_counter() - t0
-
-        rows: List[dict] = []
-        for f, ref, res in zip(members, references, results):
-            if bk.name == "numpy":
-                # reference chunk decomposition => bit-identical
-                matches = (
-                    res.estimate == ref.estimate
-                    and res.errorest == ref.errorest
-                )
-            else:
-                # fused chunk grain => machine-precision contract
-                matches = _math.isclose(
-                    res.estimate, ref.estimate, rel_tol=1e-12, abs_tol=0.0
-                ) and _math.isclose(
-                    res.errorest, ref.errorest, rel_tol=1e-9, abs_tol=1e-300
-                )
-            rows.append(
-                {
-                    "integrand": f.spec,
-                    "status": res.status.value,
-                    "converged": res.converged,
-                    "estimate": res.estimate,
-                    "errorest": res.errorest,
-                    "iterations": res.iterations,
-                    "matches_numpy": matches,
-                }
-            )
-        per_backend[spec] = {
-            "wall_seconds": wall,
-            "all_match": all(r["matches_numpy"] for r in rows),
-            "members": rows,
-        }
-
-    numpy_wall = per_backend.get("numpy", {}).get("wall_seconds")
-    for spec, d in per_backend.items():
-        d["speedup_vs_numpy"] = (
-            numpy_wall / d["wall_seconds"]
-            if numpy_wall and d["wall_seconds"] > 0
-            else None
-        )
-
-    # The conformance-suite contract, re-evidenced in the artifact: a
-    # plain integrate() on the process backend (reference chunk
-    # decomposition) reproduces the numpy bits exactly.
-    plain_bit_identical = None
-    if "process" in per_backend:
-        probe = members[0]
-        plain = integrate(
-            probe, probe.ndim, rel_tol=PROCESS_REL_TOL,
-            max_iterations=PROCESS_MAX_ITERATIONS, backend="process",
-        )
-        plain_bit_identical = (
-            plain.estimate == references[0].estimate
-            and plain.errorest == references[0].errorest
-        )
-
-    cpus = os.cpu_count() or 1
-    return {
-        "schema": 1,
-        "suite": "pagani-process-bench",
-        "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "generated_by": "PYTHONPATH=src python benchmarks/harness.py --process",
-        "rel_tol": PROCESS_REL_TOL,
-        "max_iterations": PROCESS_MAX_ITERATIONS,
-        "workload": [f.spec for f in members],
-        "n_members": len(members),
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": cpus,
-        },
-        "skipped_backends": skipped,
-        "backends": per_backend,
-        "plain_integrate_bit_identical": plain_bit_identical,
-        "expectation": {
-            "min_speedup_vs_numpy": PROCESS_BENCH_MIN_SPEEDUP,
-            "min_cores": PROCESS_BENCH_MIN_CORES,
-            "enforced_on_this_host": cpus >= PROCESS_BENCH_MIN_CORES,
-        },
-    }
-
-
-def write_process_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the process-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, PROCESS_BENCH_FILE)
-
-
-def print_process_bench(data: dict) -> None:
-    body = []
-    for spec in sorted(data["backends"]):
-        d = data["backends"][spec]
-        n_ok = sum(r["converged"] for r in d["members"])
-        speedup = d["speedup_vs_numpy"]
-        body.append(
-            [
-                spec,
-                f"{d['wall_seconds']:.2f}s",
-                f"{speedup:.2f}x" if speedup else "-",
-                f"{n_ok}/{len(d['members'])}",
-                "yes" if d["all_match"] else "NO",
-            ]
-        )
-    print_table(
-        f"Process-backend benchmark ({data['mode']}, "
-        f"{data['n_members']} members, rel_tol={data['rel_tol']:g}, "
-        f"{data['host']['cpus']} cores)",
-        ["backend", "wall", "vs numpy", "converged", "agree"],
-        body,
-    )
-    exp = data["expectation"]
-    if exp["enforced_on_this_host"]:
-        got = (data["backends"].get("process") or {}).get("speedup_vs_numpy")
-        verdict = (
-            "OK" if got is not None and got >= exp["min_speedup_vs_numpy"]
-            else "BELOW EXPECTATION"
-        )
-        print(f"speedup expectation (>= {exp['min_speedup_vs_numpy']}x on "
-              f">= {exp['min_cores']} cores): {verdict}")
-    else:
-        print(f"host has {data['host']['cpus']} core(s) < "
-              f"{exp['min_cores']}: speedup expectation not enforced")
-
-
-# ---------------------------------------------------------------------------
-# Adaptive-routing benchmark (--routing): BENCH_routing.json.
-#
-# Two traffic shapes bound the policy from both sides: a *tiny-job
-# trace* (where a pinned pool pays dispatch per job and numpy should
-# win) and the *fig5/fig6 fused sweep* (where the pool should win on a
-# multi-core host).  On each, "auto" must land within
-# ROUTING_AUTO_MAX_RATIO of the best fixed backend — the router's whole
-# value is not having to know which shape is coming.
-#
-# The same artifact times the process backend's two IPC transports
-# (shared-memory arenas vs per-chunk pickling) at a fixed width; the
-# shm-at-least-as-fast expectation is enforced on >=
-# ROUTING_IPC_MIN_CORES cores (a 1-core container records the
-# measurement honestly but cannot demonstrate pool-side gains).
-# ---------------------------------------------------------------------------
-ROUTING_BENCH_FILE = "BENCH_routing.json"
-
-#: auto wall clock may exceed the best fixed backend by at most this
-#: factor (smoke runs relax it: CI runner timing noise on sub-second
-#: traces is larger than the margin under test)
-ROUTING_AUTO_MAX_RATIO = 1.10
-ROUTING_AUTO_MAX_RATIO_SMOKE = 1.50
-
-ROUTING_IPC_MIN_CORES = 4
-ROUTING_TINY_REL_TOL = 1e-3
-
-
-def routing_tiny_trace(smoke: bool = False) -> List[Integrand]:
-    """Small-job traffic: the shape that punishes a pinned pool."""
-    from repro.integrands.catalog import named_integrand
-
-    specs = (
-        ["3d-f4"] * 3
-        if smoke
-        else ["2d-f4", "3d-f4", "3d-f3", "2d-f2", "3d-f2"] * 2
-    )
-    return [named_integrand(spec) for spec in specs]
-
-
-def _routing_backend_close(bk) -> None:
-    close = getattr(bk, "close", None)
-    if callable(close):
-        close()
-
-
-def _time_tiny_trace(members, backend) -> dict:
-    """Sequential integrate() per member on one pinned backend instance."""
-    import time as _time
-
-    from repro.api import integrate
-
-    t0 = _time.perf_counter()
-    results = [
-        integrate(f, f.ndim, rel_tol=ROUTING_TINY_REL_TOL, backend=backend)
-        for f in members
-    ]
-    wall = _time.perf_counter() - t0
-    return {
-        "wall_seconds": wall,
-        "converged_all": all(r.converged for r in results),
-        "results": results,
-    }
-
-
-def _time_fused_sweep(members, backend) -> dict:
-    """One integrate_many() batch on one backend."""
-    import time as _time
-
+def _fused_sweep(members, backend) -> list:
     from repro.api import integrate_many
 
-    t0 = _time.perf_counter()
-    results = integrate_many(
+    return integrate_many(
         members, rel_tol=PROCESS_REL_TOL, backend=backend,
         max_iterations=PROCESS_MAX_ITERATIONS,
     )
-    wall = _time.perf_counter() - t0
-    return {
-        "wall_seconds": wall,
-        "converged_all": all(r.converged for r in results),
-        "results": results,
-    }
 
 
-def _routing_scenario(members, timer, fixed_specs) -> dict:
-    """Time fixed backends and "auto" on one traffic shape."""
-    import math as _math
-    import sys as _sys
+def scenario_process(smoke: bool) -> tuple:
+    """Process-backend speedup over numpy, and its numerics contracts:
+    plain integrate() on the process backend is bit-identical to numpy,
+    batched results agree with sequential numpy to machine precision."""
+    from repro.api import integrate
+    from repro.backends import get_backend
 
-    from repro.backends import BackendUnavailableError, get_backend
-
-    fixed: Dict[str, dict] = {}
-    reference = None
-    for spec in fixed_specs:
-        try:
-            bk = get_backend(spec)
-        except BackendUnavailableError as exc:
-            print(f"skipping backend {spec!r}: {exc}", file=_sys.stderr)
-            continue
-        try:
-            run = timer(members, bk)
-        finally:
-            _routing_backend_close(bk)
-        if spec == "numpy":
-            reference = run["results"]
-        fixed[spec] = {
-            "wall_seconds": run["wall_seconds"],
-            "converged_all": run["converged_all"],
-        }
-
-    auto_run = timer(members, "auto")
-    agree = None
-    if reference is not None:
-        agree = all(
-            _math.isclose(a.estimate, r.estimate, rel_tol=1e-12, abs_tol=0.0)
-            and _math.isclose(
-                a.errorest, r.errorest, rel_tol=1e-9, abs_tol=1e-300
-            )
-            for a, r in zip(auto_run["results"], reference)
-        )
-    best_fixed = min(fixed, key=lambda s: fixed[s]["wall_seconds"])
-    ratio = auto_run["wall_seconds"] / fixed[best_fixed]["wall_seconds"]
-    return {
-        "workload": [f.spec for f in members],
-        "fixed": fixed,
-        "auto": {
-            "wall_seconds": auto_run["wall_seconds"],
-            "converged_all": auto_run["converged_all"],
-            "agrees_with_numpy": agree,
-        },
-        "best_fixed": best_fixed,
-        "auto_vs_best_ratio": ratio,
-    }
+    members = process_bench_members(smoke=smoke)
+    _warm_rules(members)
+    opts = dict(rel_tol=PROCESS_REL_TOL, max_iterations=PROCESS_MAX_ITERATIONS)
+    references = [integrate(f, f.ndim, **opts) for f in members]
+    rows, walls = [], {}
+    for spec in _host_lanes():
+        results, walls[spec] = _timed(_fused_sweep, members, get_backend(spec))
+        same = _same_bits if spec == "numpy" else _close
+        rows.append(_row("fig5/fig6 batch", spec, walls[spec], results,
+                         all(map(same, results, references))))
+    if "process" not in walls:
+        return rows, []
+    probe = members[0]
+    plain, wall = _timed(integrate, probe, probe.ndim, backend="process", **opts)
+    rows.append(_row(f"plain {probe.spec}", "process", wall, [plain],
+                     _same_bits(plain, references[0])))
+    speedup = walls["numpy"] / walls["process"]
+    cpus = os.cpu_count() or 1
+    return rows, [_check(
+        "process speedup vs numpy", speedup, PROCESS_BENCH_MIN_SPEEDUP,
+        speedup >= PROCESS_BENCH_MIN_SPEEDUP,
+        enforced=cpus >= PROCESS_BENCH_MIN_CORES,
+    )]
 
 
-def _routing_ipc_compare(members, width: int) -> dict:
-    """shm vs per-chunk pickle transport at one real pool width."""
+# --- routing: auto vs every fixed backend, and the process IPC transports ----
+def routing_tiny_trace(smoke: bool = False) -> List[Integrand]:
+    """Small-job traffic: the shape that punishes a pinned pool."""
+    return _catalogue(
+        ["3d-f4"] * 3 if smoke
+        else ["2d-f4", "3d-f4", "3d-f3", "2d-f2", "3d-f2"] * 2
+    )
+
+
+def _tiny_trace(members, backend) -> list:
+    from repro.api import integrate
+
+    return [
+        integrate(f, f.ndim, rel_tol=ROUTING_TINY_REL_TOL, backend=backend)
+        for f in members
+    ]
+
+
+def scenario_routing(smoke: bool) -> tuple:
+    """``backend="auto"`` within a bound of the best fixed backend on a
+    tiny-job trace and the fused fig5/fig6 sweep; shm vs pickling IPC."""
+    from repro.backends import new_backend
     from repro.backends.process import (
         ProcessNumpyBackend,
         process_pool_available,
         shared_memory_available,
     )
 
-    if not process_pool_available():
-        return {"available": False, "reason": "no process pool on this host"}
-    if not shared_memory_available():
-        return {"available": False, "reason": "no shared memory on this host"}
-    out: Dict[str, object] = {"available": True, "width": width}
-    for ipc in ("shm", "pickle"):
-        bk = ProcessNumpyBackend(num_workers=width, ipc=ipc)
-        try:
-            run = _time_fused_sweep(members, bk)
-        finally:
-            bk.close()
-        neval = sum(r.neval for r in run["results"])
-        out[ipc] = {
-            "wall_seconds": run["wall_seconds"],
-            "converged_all": run["converged_all"],
-            "neval": neval,
-            "s_per_meval": run["wall_seconds"] / (neval / 1e6),
-        }
-    out["shm_speedup_vs_pickle"] = (
-        out["pickle"]["s_per_meval"] / out["shm"]["s_per_meval"]
-    )
-    return out
-
-
-def run_routing_bench(smoke: bool = False) -> dict:
-    """Benchmark the auto routing policy and the shm IPC transport."""
-    import platform
-
-    from repro.backends.process import process_pool_available
-    from repro.backends.routing import shared_router
-    from repro.cubature.rules import get_rule
-
-    tiny = routing_tiny_trace(smoke=smoke)
     sweep = process_bench_members(smoke=smoke)
-    for f in tiny + sweep:
-        get_rule(f.ndim)
-
-    fixed_specs = ["numpy", "threaded"]
-    if process_pool_available():
-        fixed_specs.append("process")
-
-    scenarios = {
-        "tiny_trace": _routing_scenario(tiny, _time_tiny_trace, fixed_specs),
-        "fused_sweep": _routing_scenario(sweep, _time_fused_sweep, fixed_specs),
-    }
-    cpus = os.cpu_count() or 1
-    ipc = _routing_ipc_compare(sweep, width=max(2, cpus))
-
-    max_ratio = ROUTING_AUTO_MAX_RATIO_SMOKE if smoke else ROUTING_AUTO_MAX_RATIO
-    return {
-        "schema": 1,
-        "suite": "pagani-routing-bench",
-        "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "generated_by": "PYTHONPATH=src python benchmarks/harness.py --routing",
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": cpus,
-        },
-        "router": shared_router().stats(),
-        "scenarios": scenarios,
-        "ipc": ipc,
-        "expectation": {
-            "auto_max_ratio_vs_best_fixed": max_ratio,
-            "ipc_min_cores": ROUTING_IPC_MIN_CORES,
-            "ipc_enforced_on_this_host": (
-                bool(ipc.get("available")) and cpus >= ROUTING_IPC_MIN_CORES
-            ),
-        },
-    }
-
-
-def routing_bench_problems(data: dict) -> List[str]:
-    """Hard-failure list for --routing (shared with the CI gate)."""
-    problems: List[str] = []
-    max_ratio = data["expectation"]["auto_max_ratio_vs_best_fixed"]
-    for name, sc in data["scenarios"].items():
-        if not sc["auto"]["converged_all"]:
-            problems.append(f"{name}: auto run did not converge")
-        if sc["auto"]["agrees_with_numpy"] is False:
-            problems.append(f"{name}: auto results disagree with numpy")
-        for spec, d in sc["fixed"].items():
-            if not d["converged_all"]:
-                problems.append(f"{name}/{spec}: fixed run did not converge")
-        if sc["auto_vs_best_ratio"] > max_ratio:
-            problems.append(
-                f"{name}: auto {sc['auto']['wall_seconds']:.3f}s is "
-                f"{sc['auto_vs_best_ratio']:.2f}x the best fixed backend "
-                f"({sc['best_fixed']}), above the {max_ratio}x bound"
-            )
-    ipc = data["ipc"]
-    if ipc.get("available"):
-        for t in ("shm", "pickle"):
-            if not ipc[t]["converged_all"]:
-                problems.append(f"ipc/{t}: run did not converge")
-        if (
-            data["expectation"]["ipc_enforced_on_this_host"]
-            and ipc["shm_speedup_vs_pickle"] < 1.0
-        ):
-            problems.append(
-                f"shm transport is slower than pickle "
-                f"({ipc['shm_speedup_vs_pickle']:.2f}x) on a "
-                f"{data['host']['cpus']}-core host"
-            )
-    return problems
-
-
-def write_routing_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the routing-benchmark payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, ROUTING_BENCH_FILE)
-
-
-def print_routing_bench(data: dict) -> None:
-    body = []
-    for name, sc in data["scenarios"].items():
-        for spec in sorted(sc["fixed"]):
-            d = sc["fixed"][spec]
-            body.append([
-                name, spec, f"{d['wall_seconds']:.3f}s", "-",
-                "yes" if d["converged_all"] else "NO",
-            ])
-        body.append([
-            name, "auto", f"{sc['auto']['wall_seconds']:.3f}s",
-            f"{sc['auto_vs_best_ratio']:.2f}x vs {sc['best_fixed']}",
-            "yes" if sc["auto"]["converged_all"] else "NO",
-        ])
-    print_table(
-        f"Adaptive-routing benchmark ({data['mode']}, "
-        f"{data['host']['cpus']} cores)",
-        ["scenario", "backend", "wall", "auto ratio", "converged"],
-        body,
+    shapes = (
+        ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace),
+        ("fused sweep", sweep, _fused_sweep),
     )
-    ipc = data["ipc"]
-    if ipc.get("available"):
-        print(
-            f"process IPC at width {ipc['width']}: "
-            f"shm {ipc['shm']['s_per_meval']:.4f} s/Meval vs pickle "
-            f"{ipc['pickle']['s_per_meval']:.4f} s/Meval "
-            f"({ipc['shm_speedup_vs_pickle']:.2f}x)"
+    max_ratio = ROUTING_AUTO_MAX_RATIO_SMOKE if smoke else ROUTING_AUTO_MAX_RATIO
+    rows, checks = [], []
+    for workload, members, run_shape in shapes:
+        _warm_rules(members)
+        walls, reference = {}, None
+        for spec in _host_lanes() + ["auto"]:
+            bk = spec if spec == "auto" else new_backend(spec)
+            try:
+                results, walls[spec] = _timed(run_shape, members, bk)
+            finally:
+                if spec != "auto" and hasattr(bk, "close"):
+                    bk.close()
+            if reference is None:
+                reference = results
+            rows.append(_row(workload, spec, walls[spec], results,
+                             None if results is reference
+                             else all(map(_close, results, reference))))
+        best = min((s for s in walls if s != "auto"), key=walls.get)
+        ratio = walls["auto"] / walls[best]
+        checks.append(_check(f"{workload}: auto / best fixed ({best})",
+                             ratio, max_ratio, ratio <= max_ratio))
+
+    if process_pool_available() and shared_memory_available():
+        cpus = os.cpu_count() or 1
+        width = max(2, cpus)
+        rates = {}
+        for ipc in ("shm", "pickle"):
+            bk = ProcessNumpyBackend(num_workers=width, ipc=ipc)
+            try:
+                results, wall = _timed(_fused_sweep, sweep, bk)
+            finally:
+                bk.close()
+            row = _row("fused sweep", f"process:{width} {ipc}", wall, results,
+                       all(map(_close, results, reference)))
+            rows.append(row)
+            rates[ipc] = row["s_per_meval"]
+        speedup = rates["pickle"] / rates["shm"]
+        checks.append(_check(
+            "shm speedup vs pickle", speedup, 1.0, speedup >= 1.0,
+            enforced=cpus >= ROUTING_IPC_MIN_CORES,
+        ))
+    return rows, checks
+
+
+# --- scenarios: transform specs, a fused sweep, a watchdogged escalation -----
+def scenario_workloads(smoke: bool) -> tuple:
+    """The opened workload space converges, and an escalated run keeps
+    honest provenance: a PAGANI-first stage history whose final result is
+    never relabelled as converged native PAGANI."""
+    from repro.api import integrate, integrate_sweep
+
+    rows, checks = [], []
+    specs = SCENARIO_TRANSFORMS[:1] if smoke else SCENARIO_TRANSFORMS
+    for spec, f in zip(specs, _catalogue(specs)):
+        res, wall = _timed(
+            integrate, f, f.ndim, rel_tol=SCENARIOS_REL_TOL, backend="numpy"
         )
-    else:
-        print(f"process IPC comparison skipped: {ipc.get('reason')}")
-    exp = data["expectation"]
-    if not exp["ipc_enforced_on_this_host"]:
-        print(
-            f"host has {data['host']['cpus']} core(s) < "
-            f"{exp['ipc_min_cores']}: shm-vs-pickle expectation not enforced"
-        )
+        rows.append(_row(spec, "numpy", wall, [res], None))
+        # a spec-less integrand can be neither cached nor shipped
+        checks.append(_check(f"{spec}: canonical spec", f.spec, "non-empty",
+                             bool(f.spec)))
+
+    pairs, wall = _timed(integrate_sweep, SCENARIO_SWEEP,
+                         rel_tol=SCENARIOS_REL_TOL)
+    rows.append(_row(SCENARIO_SWEEP, "numpy", wall, [r for _, r in pairs], None))
+
+    esc = SCENARIO_ESCALATION
+    (f,) = _catalogue([esc["spec"]])
+    res, wall = _timed(integrate, f, f.ndim, rel_tol=esc["rel_tol"],
+                       escalation=esc["escalation"])
+    rows.append(_row(f"{esc['spec']} [{esc['escalation']}]", "numpy", wall,
+                     [res], None))
+    stages = res.escalation or []
+    history = [s.method for s in stages]
+    last_method = history[-1] if history else None
+    last_status = stages[-1].status.value if stages else None
+    checks += [
+        _check("escalated", res.escalated, True, bool(res.escalated)),
+        _check("escalation history", history, "starts with pagani",
+               history[:1] == ["pagani"]),
+        # the rung's own method: an escalated run is never relabelled
+        _check("final method", res.method, last_method,
+               res.method == last_method != "pagani"),
+        _check("final status", res.status.value, last_status,
+               res.status.value == last_status),
+    ]
+    return rows, checks
 
 
-# ---------------------------------------------------------------------------
-# Workload-scenarios benchmark (--scenarios): BENCH_scenarios.json.
-#
-# The opened workload space end-to-end: transform-spec integrands (one
-# per family), a fused parameter sweep, and a baseline-escalation run
-# whose PAGANI attempt is deliberately watchdogged into failure.  The
-# artifact is primarily a *correctness* record — every row carries its
-# status and, for the escalation row, the full stage provenance; the
-# gate asserts the honesty contract (an escalated run is never
-# relabelled as native converged PAGANI) rather than wall clock.
-# ---------------------------------------------------------------------------
-SCENARIOS_BENCH_FILE = "BENCH_scenarios.json"
-
-#: transform rows: one canonical spec per family
-SCENARIO_TRANSFORMS = (
-    "semi_infinite(3D-f4, scale=2.0)",
-    "infinite(2D-genz-gaussian, scale=1.5)",
-    "gaussian_measure(2D-f4, mean=0.5, sigma=0.8)",
-)
-
-SCENARIO_SWEEP = "sweep:gaussian_measure(2D-f4, sigma=0.5;0.8;1.0)"
-
-#: escalation scenario: watchdog=1 forces the PAGANI attempt to fail so
-#: the ladder runs; the rung tolerance is reachable by two_phase
-SCENARIO_ESCALATION = {
-    "spec": "3D-f4",
-    "rel_tol": 1e-6,
-    "escalation": "two_phase>qmc;watchdog=1",
+SCENARIOS = {
+    "backends": scenario_backends,
+    "batch": scenario_batch,
+    "service": scenario_service,
+    "process": scenario_process,
+    "http": scenario_http,
+    "routing": scenario_routing,
+    "scenarios": scenario_workloads,
 }
 
-SCENARIOS_REL_TOL = 1e-4
 
-
-def run_scenarios_bench(smoke: bool = False) -> dict:
-    """Run the transform / sweep / escalation scenarios on numpy."""
+# --- one runner, one writer, one printer, one check --------------------------
+def run(name: str, smoke: bool = False) -> dict:
+    """Run one scenario; return its payload."""
     import platform
-    import time as _time
 
-    from repro.api import integrate, integrate_sweep
-    from repro.integrands.catalog import named_integrand
-
-    transforms = []
-    specs = SCENARIO_TRANSFORMS[:1] if smoke else SCENARIO_TRANSFORMS
-    for spec in specs:
-        f = named_integrand(spec)
-        t0 = _time.perf_counter()
-        res = integrate(f, f.ndim, rel_tol=SCENARIOS_REL_TOL, backend="numpy")
-        transforms.append({
-            "spec": spec,
-            "canonical_spec": f.spec,
-            "rel_tol": SCENARIOS_REL_TOL,
-            "estimate": res.estimate,
-            "estimate_hex": float(res.estimate).hex(),
-            "errorest": res.errorest,
-            "neval": res.neval,
-            "status": res.status.value,
-            "converged": res.converged,
-            "wall_seconds": _time.perf_counter() - t0,
-        })
-
-    t0 = _time.perf_counter()
-    pairs = integrate_sweep(SCENARIO_SWEEP, rel_tol=SCENARIOS_REL_TOL)
-    sweep = {
-        "spec": SCENARIO_SWEEP,
-        "rel_tol": SCENARIOS_REL_TOL,
-        "members": [
-            {
-                "spec": member_spec,
-                "estimate": res.estimate,
-                "estimate_hex": float(res.estimate).hex(),
-                "errorest": res.errorest,
-                "status": res.status.value,
-                "converged": res.converged,
-            }
-            for member_spec, res in pairs
-        ],
-        "wall_seconds": _time.perf_counter() - t0,
-    }
-
-    esc_cfg = SCENARIO_ESCALATION
-    f = named_integrand(esc_cfg["spec"])
-    t0 = _time.perf_counter()
-    res = integrate(
-        f, f.ndim, rel_tol=esc_cfg["rel_tol"],
-        escalation=esc_cfg["escalation"],
-    )
-    escalation = {
-        "spec": esc_cfg["spec"],
-        "rel_tol": esc_cfg["rel_tol"],
-        "policy": esc_cfg["escalation"],
-        "escalated": res.escalated,
-        "final_method": res.method,
-        "final_status": res.status.value,
-        "converged": res.converged,
-        "estimate": res.estimate,
-        "estimate_hex": float(res.estimate).hex(),
-        "errorest": res.errorest,
-        "stages": [
-            {
-                "method": s.method,
-                "status": s.status.value,
-                "neval": s.neval,
-                "error": s.error,
-            }
-            for s in (res.escalation or [])
-        ],
-        "wall_seconds": _time.perf_counter() - t0,
-    }
-
+    rows, checks = SCENARIOS[name](smoke)
     return {
-        "schema": 1,
-        "suite": "pagani-scenarios-bench",
+        "scenario": name,
         "mode": "smoke" if smoke else ("full" if full_mode() else "quick"),
-        "generated_by": (
-            "PYTHONPATH=src python benchmarks/harness.py --scenarios"
-        ),
+        "generated_by": f"PYTHONPATH=src python benchmarks/harness.py {name}",
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
             "cpus": os.cpu_count() or 1,
         },
-        "transforms": transforms,
-        "sweep": sweep,
-        "escalation": escalation,
+        "rows": [{"scenario": name, **row} for row in rows],
+        "checks": checks,
     }
 
 
-def scenarios_bench_problems(data: dict) -> List[str]:
-    """Hard-failure list for --scenarios (shared with the CI gate)."""
-    problems: List[str] = []
-    for row in data["transforms"]:
-        if not row["converged"]:
-            problems.append(f"transform {row['spec']}: DNF ({row['status']})")
-        if not row.get("canonical_spec"):
-            problems.append(
-                f"transform {row['spec']}: integrand lost its canonical "
-                "spec (uncacheable, unshippable)"
-            )
-    for member in data["sweep"]["members"]:
-        if not member["converged"]:
-            problems.append(
-                f"sweep member {member['spec']}: DNF ({member['status']})"
-            )
-    esc = data["escalation"]
-    if not esc["escalated"]:
-        problems.append(
-            "escalation scenario did not escalate — the watchdog failed "
-            "to trip the PAGANI attempt"
-        )
-    stages = esc["stages"]
-    if not stages or stages[0]["method"] != "pagani":
-        problems.append("escalation history does not start with pagani")
-    # the honesty contract: the final result must carry the rung's own
-    # method, never be relabelled as a converged native PAGANI run
-    if esc["escalated"] and esc["final_method"] == "pagani" and esc["converged"]:
-        problems.append(
-            "escalated result relabelled as converged native PAGANI"
-        )
-    if stages and stages[-1]["status"] != esc["final_status"]:
-        problems.append(
-            "final stage status disagrees with the result status"
-        )
-    return problems
+def write(payload: dict, out_dir: Optional[Path] = None) -> Path:
+    """Write ``BENCH_<scenario>.json`` into ``out_dir``; return the path."""
+    out_dir = RESULTS_DIR if out_dir is None else Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"BENCH_{payload['scenario']}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def write_scenarios_bench(data: dict, out: Optional[Path] = None) -> Path:
-    """Write the scenarios payload as pretty JSON; return the path."""
-    return _write_bench_json(data, out, SCENARIOS_BENCH_FILE)
-
-
-def print_scenarios_bench(data: dict) -> None:
-    body = []
-    for row in data["transforms"]:
-        body.append([
-            "transform", row["spec"], row["status"],
-            f"{row['estimate']:.6g}", f"{row['wall_seconds']:.3f}s",
-        ])
-    for member in data["sweep"]["members"]:
-        body.append([
-            "sweep", member["spec"], member["status"],
-            f"{member['estimate']:.6g}", "-",
-        ])
-    esc = data["escalation"]
-    ladder = "->".join(s["method"] for s in esc["stages"])
-    body.append([
-        "escalation", f"{esc['spec']} [{ladder}]", esc["final_status"],
-        f"{esc['estimate']:.6g}", f"{esc['wall_seconds']:.3f}s",
-    ])
+def print_payload(payload: dict) -> None:
+    body = [
+        [
+            r["workload"], r["lane"], f"{r['wall_s']:.3f}s", r["neval"],
+            f"{r['s_per_meval']:.4f}", "yes" if r["converged"] else "DNF",
+            {True: "yes", False: "NO", None: "-"}[r["agrees"]],
+        ]
+        for r in payload["rows"]
+    ]
     print_table(
-        f"Workload-scenarios benchmark ({data['mode']})",
-        ["kind", "spec", "status", "estimate", "wall"],
+        f"{payload['scenario']} ({payload['mode']}, "
+        f"{payload['host']['cpus']} cpus)",
+        ["workload", "lane", "wall", "neval", "s/Meval", "converged", "agrees"],
         body,
     )
+    for c in payload["checks"]:
+        verdict = "ok" if c["ok"] else ("FAIL" if c["enforced"] else "not met")
+        enforced = "" if c["enforced"] else " (not enforced)"
+        value = f"{c['value']:.3g}" if isinstance(c["value"], float) else c["value"]
+        print(f"check {c['name']}: {value} vs {c['bound']} -> {verdict}{enforced}")
+
+
+def load(path: Path) -> dict:
+    """Read a payload written by :func:`write`; exit 2 if unreadable."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read benchmark payload {path}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _require_schema(payload) -> None:
+    """Exit 2 on a payload that is not in the row/check schema."""
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("scenario"), str)
+        and isinstance(payload.get("rows"), list)
+        and isinstance(payload.get("checks"), list)
+        and all(isinstance(r, dict) and set(ROW_FIELDS) <= set(r)
+                for r in payload["rows"])
+        and all(isinstance(c, dict) and set(CHECK_FIELDS) <= set(c)
+                for c in payload["checks"])
+    ):
+        print("error: benchmark payload is not in the row/check schema",
+              file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _numpy_rate(payload: dict) -> Optional[float]:
+    rates = [r["s_per_meval"] for r in payload["rows"] if r["lane"] == "numpy"]
+    return statistics.median(rates) if rates else None
+
+
+def problems(payload: dict, baseline: Optional[dict] = None) -> List[str]:
+    """Every reason the payload fails its claims; [] when clean.
+
+    Fatal: a non-converged row, a row that disagrees with its reference,
+    an enforced check that is not ok and, on the backends scenario only,
+    a numpy median s/Meval above RATE_TOLERANCE × the ``baseline``
+    payload's (default: the committed ``BENCH_backends.json``).  Exits 2
+    on a payload or baseline not in the schema.
+    """
+    _require_schema(payload)
+    name = payload["scenario"]
+    found = []
+    for r in payload["rows"]:
+        label = f"{name}/{r['workload']}/{r['lane']}"
+        if not r["converged"]:
+            found.append(f"{label}: did not converge (DNF)")
+        if r["agrees"] is False:
+            found.append(f"{label}: disagrees with the reference")
+    for c in payload["checks"]:
+        if c["enforced"] and not c["ok"]:
+            found.append(
+                f"{name} check {c['name']}: {c['value']} vs bound {c['bound']}"
+            )
+    if name == "backends":
+        if baseline is None:
+            baseline = load(RESULTS_DIR / "BENCH_backends.json")
+        _require_schema(baseline)
+        current, base = _numpy_rate(payload), _numpy_rate(baseline)
+        if current is None:
+            found.append("backends: no numpy rows to rate")
+        elif base is not None and current > RATE_TOLERANCE * base:
+            found.append(
+                f"backends: numpy {current:.3f} s/Meval is "
+                f"{current / base:.2f}x the committed {base:.3f} s/Meval "
+                f"(> {RATE_TOLERANCE:g}x allowed)"
+            )
+    return found
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry: run the backend benchmark and write BENCH_backends.json."""
+    """CLI: run scenarios, write their payloads, exit 1 on any problem."""
     import argparse
-    import sys
-
-    from repro.errors import ConfigurationError
 
     ap = argparse.ArgumentParser(
-        description="Run the fig5/fig6 PAGANI workloads per execution "
-        "backend and write the BENCH_backends.json perf baseline, or (with "
-        "--batch) the batched-vs-sequential throughput benchmark writing "
-        "BENCH_batch.json, or (with --service) the integration-service "
-        "benchmark writing BENCH_service.json."
+        description="Run benchmark scenarios, write BENCH_<scenario>.json "
+        "for each and exit 1 if any row or check fails its claim."
     )
     ap.add_argument(
-        "--backends", default=None,
-        help="comma-separated backend specs (default: all available)",
+        "scenarios", nargs="+", metavar="SCENARIO",
+        choices=[*SCENARIOS, "all"],
+        help=f"one or more of {', '.join(SCENARIOS)}, or all",
     )
-    ap.add_argument(
-        "--smoke", action="store_true",
-        help="one tiny workload only (CI smoke run)",
-    )
-    ap.add_argument(
-        "--batch", action="store_true",
-        help="run the batched-execution benchmark instead "
-        f"(writes results/{BATCH_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--service", action="store_true",
-        help="run the integration-service benchmark instead: cache-hit "
-        "speedup on a duplicate-heavy mix, bit-identity vs cold runs, "
-        f"priority-order evidence (writes results/{SERVICE_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--shards", type=int, default=1,
-        help="worker rotations for the --service benchmark (default 1)",
-    )
-    ap.add_argument(
-        "--process", action="store_true",
-        help="run the process-backend benchmark instead: the fig5/fig6 "
-        "multi-integrand workload per host backend, speedup vs numpy "
-        f"(writes results/{PROCESS_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--http", action="store_true",
-        help="run the HTTP traffic-trace benchmark instead: cold / warm / "
-        "restart-warm waves of a duplicate-heavy trace over real HTTP, "
-        "durable-store replay bit-identity "
-        f"(writes results/{HTTP_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--routing", action="store_true",
-        help="run the adaptive-routing benchmark instead: auto vs fixed "
-        "backends on a tiny-job trace and the fig5/fig6 fused sweep, plus "
-        "the shm-vs-pickle process IPC comparison "
-        f"(writes results/{ROUTING_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--scenarios", action="store_true",
-        help="run the workload-scenarios benchmark instead: transform-spec "
-        "integrands, a fused parameter sweep, and a baseline-escalation "
-        "run with full stage provenance "
-        f"(writes results/{SCENARIOS_BENCH_FILE})",
-    )
-    ap.add_argument(
-        "--out", default=None,
-        help="output path (default: results/"
-        f"{BACKEND_BENCH_FILE}, {BATCH_BENCH_FILE} or {SERVICE_BENCH_FILE})",
-    )
+    ap.add_argument("--smoke", action="store_true",
+                    help="CI-sized workloads")
+    ap.add_argument("--out", type=Path, default=RESULTS_DIR,
+                    help="output directory (default: benchmarks/results)")
     args = ap.parse_args(argv)
 
-    if sum((args.batch, args.service, args.process, args.http,
-            args.routing, args.scenarios)) > 1:
-        print("error: pick one of --batch / --service / --process / --http "
-              "/ --routing / --scenarios",
-              file=sys.stderr)
-        return 2
-    backends = args.backends.split(",") if args.backends else None
-    if args.scenarios:
-        data = run_scenarios_bench(smoke=args.smoke)
-        path = write_scenarios_bench(data, out=args.out)
-        print_scenarios_bench(data)
-        print(f"\nwrote {path}")
-        problems = scenarios_bench_problems(data)
-        for problem in problems:
-            print(f"WARNING: {problem}")
-        return 1 if problems else 0
-    if args.routing:
-        data = run_routing_bench(smoke=args.smoke)
-        path = write_routing_bench(data, out=args.out)
-        print_routing_bench(data)
-        print(f"\nwrote {path}")
-        problems = routing_bench_problems(data)
-        for problem in problems:
-            print(f"WARNING: {problem}")
-        return 1 if problems else 0
-    if args.http:
-        data = run_http_bench(smoke=args.smoke)
-        path = write_http_bench(data, out=args.out)
-        print_http_bench(data)
-        print(f"\nwrote {path}")
-        problems = http_bench_problems(data)
-        for problem in problems:
-            print(f"WARNING: {problem}")
-        return 1 if problems else 0
-    if args.process:
-        data = run_process_bench(backends=backends, smoke=args.smoke)
-        path = write_process_bench(data, out=args.out)
-        print_process_bench(data)
-        print(f"\nwrote {path}")
-        problems = []
-        for spec, d in data["backends"].items():
-            if not d["all_match"]:
-                problems.append(f"{spec}: results disagree with the numpy "
-                                "sequential reference")
-            for r in d["members"]:
-                if not r["converged"]:
-                    problems.append(f"{spec}/{r['integrand']}: DNF")
-        if data.get("plain_integrate_bit_identical") is False:
-            problems.append(
-                "plain integrate() on the process backend is not "
-                "bit-identical to numpy"
-            )
-        exp = data["expectation"]
-        if exp["enforced_on_this_host"]:
-            got = (data["backends"].get("process") or {}).get("speedup_vs_numpy")
-            if got is None or got < exp["min_speedup_vs_numpy"]:
-                problems.append(
-                    f"process speedup {got if got is None else f'{got:.2f}x'} "
-                    f"below the {exp['min_speedup_vs_numpy']}x expectation on "
-                    f"a {data['host']['cpus']}-core host"
-                )
-        for problem in problems:
-            print(f"WARNING: {problem}")
-        return 1 if problems else 0
-    if args.service:
-        data = run_service_bench(smoke=args.smoke, shards=args.shards)
-        path = write_service_bench(data, out=args.out)
-        print_service_bench(data)
-        print(f"\nwrote {path}")
-        problems = []
-        bad_bits = (
-            data["bit_identity"]["no_cache_mismatches"]
-            + data["bit_identity"]["with_cache_mismatches"]
-            + data["bit_identity"]["warm_replay_mismatches"]
-        )
-        if bad_bits:
-            problems.append(f"results disagree with cold runs: {sorted(set(bad_bits))}")
-        if not data["priority_order"]["in_priority_order"]:
-            problems.append(
-                "completion order "
-                f"{data['priority_order']['completion_order']} is not "
-                "priority order"
-            )
-        for problem in problems:
-            print(f"WARNING: {problem}")
-        return 1 if problems else 0
-    if args.batch:
-        def run():
-            return run_batch_bench(backends=backends, smoke=args.smoke)
-
-        def mismatches(data):
-            return [
-                (spec, r["integrand"])
-                for spec, d in data["backends"].items()
-                for r in d["members"]
-                if not r["matches_sequential"]
-            ]
-
-        writer, printer = write_batch_bench, print_batch_bench
-        disagrees_with = "their sequential runs"
-    else:
-        def run():
-            return run_backend_bench(backends=backends, smoke=args.smoke)
-
-        def mismatches(data):
-            return [
-                (spec, r["integrand"], r["digits"])
-                for spec, rows in data["backends"].items()
-                for r in rows
-                if not r["matches_numpy"] and "numpy" in data["backends"]
-            ]
-
-        writer, printer = write_backend_bench, print_backend_bench
-        disagrees_with = "the numpy reference"
-
-    try:
-        data = run()
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not data["backends"]:
-        # Don't clobber a good committed baseline with an empty payload.
-        print("error: no requested backend could run; nothing written",
-              file=sys.stderr)
-        return 2
-    path = writer(data, out=args.out)
-    printer(data)
-    print(f"\nwrote {path}")
-    bad = mismatches(data)
-    if bad:
-        print(f"WARNING: {len(bad)} rows disagree with {disagrees_with}: {bad}")
-        return 1
-    return 0
+    names = list(SCENARIOS) if "all" in args.scenarios else list(
+        dict.fromkeys(args.scenarios)
+    )
+    failed = False
+    for name in names:
+        payload = run(name, smoke=args.smoke)
+        # checked before writing: the rate rule reads the committed baseline
+        found = problems(payload)
+        path = write(payload, args.out)
+        print_payload(payload)
+        print(f"wrote {path}")
+        for problem in found:
+            print(f"PROBLEM: {problem}")
+        failed = failed or bool(found)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

@@ -45,8 +45,8 @@ Two transports ship the chunk payloads (``ipc=`` constructor knob):
 * ``"pickle"`` — the original transport: the full chunk spec (arrays
   included) pickles through the executor per chunk.  Kept as the
   fallback when shared memory is unavailable (some sandboxes mount no
-  ``/dev/shm``) and as the measured comparison point for
-  ``BENCH_routing.json``'s shm-vs-pickle row.
+  ``/dev/shm``) and as the measured comparison point for the routing
+  benchmark's shm-vs-pickle rows (``benchmarks/harness.py routing``).
 
 Fallbacks and failure
 ---------------------

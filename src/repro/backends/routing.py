@@ -11,11 +11,10 @@ instead:
    Genz–Malik rule's point count.  The router scores candidates on
    predicted first-sweep seconds = ``s/Meval × Mevals + per-sweep
    dispatch overhead``.
-2. **Price the candidates.**  Host-backend ``s/Meval`` priors are seeded
-   from the committed ``benchmarks/results/BENCH_backends.json`` rows
-   (falling back to built-in constants when the file is not around,
-   e.g. in an installed package) and refined online by observed sweep
-   timings (EWMA — see :meth:`BackendRouter.observe`).
+2. **Price the candidates.**  Host-backend ``s/Meval`` priors are the
+   constants in :data:`S_PER_MEVAL` (frozen from one run of the backends
+   benchmark scenario on a 1-core host) and are refined online
+   by observed sweep timings (EWMA — see :meth:`BackendRouter.observe`).
 3. **Dispatch.**  Cheapest predicted candidate wins: numpy for tiny
    jobs, ``process:N`` for big sweeps.  Adequacy is never in question
    (the candidates are bit-identical by the conformance contract); the
@@ -34,11 +33,9 @@ alias cache entries.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import resolve_workers
@@ -60,32 +57,29 @@ AUTO_SPEC = "auto"
 #: never does.
 BASELINE_LAST_RESORT = ("two_phase", "vegas", "qmc")
 
-#: committed perf baseline the priors are seeded from (repo checkout);
-#: installed packages fall back to the constants below
-PRIORS_FILE = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "results"
-    / "BENCH_backends.json"
-)
-
-#: measured medians from the committed BENCH_backends.json at the time
-#: this module was written — used when the file itself is unavailable
-FALLBACK_S_PER_MEVAL = {
-    "numpy": 0.105,
-    "threaded": 0.12,
-    "process": 0.11,
+#: s/Meval prior per backend family: the median converged row of one
+#: run of the backends benchmark (``harness.py backends``) on a 1-core
+#: host, frozen here and not re-derived when the committed benchmark
+#: files are regenerated.  Constants, so an installed package routes
+#: exactly like a repo checkout; the routing-decision pin tests in
+#: tests/backends/test_routing.py guard them.
+S_PER_MEVAL = {
+    "numpy": 0.08323953586962293,
+    "threaded": 0.09863436798412242,
+    "process": 0.11419745649987567,
 }
 
-#: committed batch baseline: the fused-grain gains are seeded from here
-BATCH_PRIORS_FILE = PRIORS_FILE.with_name("BENCH_batch.json")
-
-#: batched-throughput gain over batched numpy (measured ratios from the
-#: committed BENCH_batch.json) — the *chunk-grain* effect: numpy keeps
-#: the bit-identity reference decomposition (16M-float chunks) while
-#: threaded/process batch at their throughput-tuned grains, which wins
-#: even serially (cache locality), before any parallel speedup.
-FALLBACK_BATCH_GAIN = {"numpy": 1.0, "threaded": 1.9, "process": 2.2}
+#: batched-throughput gain over batched numpy (the batch benchmark's
+#: batched-seconds ratios, frozen from one run on the same host) — the
+#: *chunk-grain* effect: numpy keeps the bit-identity reference
+#: decomposition (16M-float chunks) while threaded/process batch at their
+#: throughput-tuned grains, which wins even serially (cache locality),
+#: before any parallel speedup.
+BATCH_GAIN = {
+    "numpy": 1.0,
+    "threaded": 1.9960254150225714,
+    "process": 2.1497454304363384,
+}
 
 #: fixed per-sweep dispatch cost (seconds) a backend pays before any
 #: evaluation happens: pool hand-off, chunk submission, result stitch.
@@ -102,55 +96,6 @@ PROCESS_PARALLEL_EFFICIENCY = 0.75
 
 #: EWMA weight of each newly observed sweep rate
 OBSERVATION_ALPHA = 0.3
-
-
-def load_priors(path: Optional[Path] = None) -> Dict[str, float]:
-    """Per-backend s/Meval medians from a committed backends bench file.
-
-    Rows that did not converge or disagree with numpy are skipped;
-    missing/corrupt files fall back to :data:`FALLBACK_S_PER_MEVAL`.
-    """
-    path = PRIORS_FILE if path is None else Path(path)
-    rates: Dict[str, List[float]] = {}
-    try:
-        data = json.loads(path.read_text())
-        for backend, rows in data.get("backends", {}).items():
-            for row in rows.values() if isinstance(rows, dict) else rows:
-                if not row.get("converged") or not row.get("neval"):
-                    continue
-                wall = float(row.get("wall_seconds", 0.0))
-                neval = float(row["neval"])
-                if wall > 0 and neval > 0:
-                    rates.setdefault(backend, []).append(wall / (neval / 1e6))
-    except (OSError, ValueError, KeyError, TypeError):
-        rates = {}
-    priors = dict(FALLBACK_S_PER_MEVAL)
-    for backend, values in rates.items():
-        values.sort()
-        priors[backend] = values[len(values) // 2]
-    return priors
-
-
-def load_batch_gains(path: Optional[Path] = None) -> Dict[str, float]:
-    """Per-backend batched-throughput gain over batched numpy.
-
-    Read from the committed ``BENCH_batch.json`` (``batched_seconds``
-    ratios); missing/corrupt files fall back to
-    :data:`FALLBACK_BATCH_GAIN`.
-    """
-    path = BATCH_PRIORS_FILE if path is None else Path(path)
-    gains = dict(FALLBACK_BATCH_GAIN)
-    try:
-        data = json.loads(path.read_text())
-        rows = data.get("backends", {})
-        numpy_s = float(rows["numpy"]["batched_seconds"])
-        for backend, row in rows.items():
-            batched = float(row["batched_seconds"])
-            if numpy_s > 0 and batched > 0:
-                gains[backend] = numpy_s / batched
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return gains
 
 
 def first_sweep_evals(ndim: int, initial_splits: Optional[int] = None) -> int:
@@ -188,8 +133,7 @@ class BackendRouter:
     Parameters
     ----------
     priors:
-        s/Meval seed per backend family; default loads the committed
-        bench baseline (see :func:`load_priors`).
+        s/Meval seed per backend family; default :data:`S_PER_MEVAL`.
     process_width:
         Pool width the ``process`` candidate is priced (and dispatched)
         at; default ``resolve_workers(None)`` — one worker per CPU.
@@ -208,9 +152,9 @@ class BackendRouter:
         process: Optional[bool] = None,
         batch_gains: Optional[Dict[str, float]] = None,
     ):
-        self.priors = load_priors() if priors is None else dict(priors)
-        self.batch_gains = (
-            load_batch_gains() if batch_gains is None else dict(batch_gains)
+        self.priors = dict(S_PER_MEVAL if priors is None else priors)
+        self.batch_gains = dict(
+            BATCH_GAIN if batch_gains is None else batch_gains
         )
         self.process_width = (
             resolve_workers(None) if process_width is None else int(process_width)
@@ -234,7 +178,7 @@ class BackendRouter:
             observed = self._observed.get(family)
         if observed is not None:
             return observed
-        return self.priors.get(family, FALLBACK_S_PER_MEVAL["numpy"])
+        return self.priors.get(family, S_PER_MEVAL["numpy"])
 
     def _candidates(self, context: str = "plain") -> List[str]:
         out = ["numpy"]
@@ -277,7 +221,7 @@ class BackendRouter:
                     else 1.0
                 )
                 pooled = self.priors.get(
-                    "process", FALLBACK_S_PER_MEVAL["process"]
+                    "process", S_PER_MEVAL["process"]
                 ) / grain
                 # The bench prior measured *some* pool; scale the serial
                 # rate by the batch-grain gain (batch context only) and

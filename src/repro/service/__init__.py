@@ -49,7 +49,7 @@ True
 See ``docs/service.md`` for the job model, the cache fingerprint
 contract and the priority semantics, ``docs/architecture.md`` for where
 the layer sits, and ``pagani-repro serve`` /
-``benchmarks/harness.py --service`` for the CLI and benchmark surfaces.
+``benchmarks/harness.py service`` for the CLI and benchmark surfaces.
 """
 
 from repro.service.aio import AsyncIntegrationService, handle_as_future

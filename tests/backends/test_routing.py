@@ -14,13 +14,9 @@ import pytest
 from repro.api import integrate, integrate_many
 from repro.backends.routing import (
     AUTO_SPEC,
-    FALLBACK_BATCH_GAIN,
-    FALLBACK_S_PER_MEVAL,
     BackendRouter,
     first_sweep_evals,
     is_auto,
-    load_batch_gains,
-    load_priors,
     shared_router,
 )
 from repro.integrands.catalog import named_integrand
@@ -28,8 +24,8 @@ from repro.integrands.catalog import named_integrand
 
 def router(**kw):
     """A fully injected router: no host probing, deterministic priors."""
-    kw.setdefault("priors", dict(FALLBACK_S_PER_MEVAL))
-    kw.setdefault("batch_gains", dict(FALLBACK_BATCH_GAIN))
+    kw.setdefault("priors", {"numpy": 0.105, "threaded": 0.12, "process": 0.11})
+    kw.setdefault("batch_gains", {"numpy": 1.0, "threaded": 1.9, "process": 2.2})
     kw.setdefault("process", True)
     kw.setdefault("process_width", 8)
     return BackendRouter(**kw)
@@ -38,25 +34,37 @@ def router(**kw):
 # ---------------------------------------------------------------------------
 # Priors and the job score
 # ---------------------------------------------------------------------------
-def test_load_priors_prefers_committed_bench_else_fallback(tmp_path):
-    committed = load_priors()
-    assert set(FALLBACK_S_PER_MEVAL) <= set(committed)
-    assert all(v > 0 for v in committed.values())
-    missing = load_priors(tmp_path / "nope.json")
-    assert missing == FALLBACK_S_PER_MEVAL
+# Predicted seconds on the default priors, pinned to the values measured
+# while the priors were still read from the committed bench files.
+def test_batch_routing_decision_pinned():
+    """The members of perfbench's sweep_auto batch: routed to the pool."""
+    r = BackendRouter(process_width=2, process=True)
+    assert r.decide_batch([4, 5, 4, 4, 3, 3, 3, 3]).predicted_seconds == {
+        "numpy": 0.08250702795397025, "process:2": 0.045586604127113975,
+    }
 
 
-def test_load_priors_skips_dnf_rows(tmp_path):
-    import json
+def test_plain_routing_decision_pinned():
+    r = BackendRouter(process_width=2, process=True)
+    assert r.decide(5, context="plain").predicted_seconds == {
+        "numpy": 0.024191490112109165, "process:2": 0.03612766007473944,
+    }
 
-    payload = {"backends": {"numpy": [
-        # a DNF row with a pathological rate must not poison the prior
-        {"converged": False, "neval": 100, "wall_seconds": 50.0},
-        {"converged": True, "neval": 2_000_000, "wall_seconds": 1.0},
-    ]}}
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(payload))
-    assert load_priors(path)["numpy"] == pytest.approx(0.5)
+
+def test_router_opens_no_file(monkeypatch):
+    """An installed package has no benchmarks/ tree to read priors from."""
+    import builtins
+    import io
+    from pathlib import Path
+
+    def no_file(*args, **kwargs):
+        raise AssertionError(f"router opened {args[:1]}")
+
+    for owner, name in ((builtins, "open"), (io, "open"), (Path, "open")):
+        monkeypatch.setattr(owner, name, no_file)
+    r = BackendRouter(process_width=2, process=True)
+    assert r.decide_batch([4, 5, 4, 4, 3, 3, 3, 3]).backend == "process:2"
+    assert r.decide(5, context="plain").backend == "numpy"
 
 
 def test_first_sweep_evals_grows_with_dimension():
@@ -123,13 +131,6 @@ def test_batch_context_prefers_process_grain_even_serially():
     assert r.decide_batch([8]).backend == "process:1"
     # ...but not on a tiny one (dispatch overhead dominates).
     assert r.decide_batch([3]).backend == "numpy"
-
-
-def test_load_batch_gains_committed_else_fallback(tmp_path):
-    committed = load_batch_gains()
-    assert committed["numpy"] == pytest.approx(1.0)
-    assert committed["process"] > 1.0  # the grain gain is real
-    assert load_batch_gains(tmp_path / "nope.json") == FALLBACK_BATCH_GAIN
 
 
 def test_decide_batch_rejects_unknown_context():

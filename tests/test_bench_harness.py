@@ -1,4 +1,5 @@
-"""Unit tests for the benchmark harness utilities (no integration runs)."""
+"""Benchmark harness: figure-sweep helpers, the scenario runner, the
+committed BENCH_*.json artifacts' claims, and problems()."""
 
 import sys
 from pathlib import Path
@@ -109,176 +110,6 @@ def test_integrand_catalogues_have_references():
             assert integrand.ndim == int(name.split("D")[0])
 
 
-def test_backend_bench_smoke_roundtrip(tmp_path):
-    data = hz.run_backend_bench(backends=["numpy", "threaded"], smoke=True)
-    assert data["mode"] == "smoke"
-    assert set(data["backends"]) == {"numpy", "threaded"}
-    for spec, rows in data["backends"].items():
-        assert rows, spec
-        for r in rows:
-            assert r["matches_numpy"], (spec, r)
-            assert r["wall_seconds"] > 0
-            assert r["converged"]
-
-    path = hz.write_backend_bench(data, out=tmp_path / "BENCH_backends.json")
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["backends"]["threaded"][0]["estimate"] == pytest.approx(
-        data["backends"]["threaded"][0]["estimate"]
-    )
-
-
-def test_backend_bench_skips_unavailable_backends(monkeypatch):
-    from repro import backends
-
-    def unavailable():
-        raise backends.BackendUnavailableError("no device available")
-
-    monkeypatch.setitem(backends._FACTORIES, "device", unavailable)
-    data = hz.run_backend_bench(backends=["device"], smoke=True)
-    # an unusable backend is skipped, not crashed on
-    assert data["skipped_backends"] == ["device"]
-    assert "device" not in data["backends"]
-
-
-def test_batch_bench_smoke_roundtrip(tmp_path):
-    data = hz.run_batch_bench(backends=["numpy", "threaded"], smoke=True)
-    assert data["mode"] == "smoke"
-    assert set(data["backends"]) == {"numpy", "threaded"}
-    assert data["n_members"] == len(hz.batch_bench_members(smoke=True))
-    for spec, d in data["backends"].items():
-        assert d["sequential_seconds"] > 0 and d["batched_seconds"] > 0
-        assert d["rounds"] >= 1
-        assert len(d["members"]) == data["n_members"]
-        for r in d["members"]:
-            assert r["matches_sequential"], (spec, r)
-            assert r["converged"]
-
-    path = hz.write_batch_bench(data, out=tmp_path / "BENCH_batch.json")
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["backends"]["numpy"]["speedup"] == pytest.approx(
-        data["backends"]["numpy"]["speedup"]
-    )
-
-
-def test_service_bench_smoke_roundtrip(tmp_path, capsys):
-    data = hz.run_service_bench(smoke=True)
-    assert data["mode"] == "smoke"
-    assert data["n_jobs"] == len(data["unique_jobs"]) * data["duplicate_factor"]
-    # bit-identity against cold integrate() runs must hold in every pass
-    for key, bad in data["bit_identity"].items():
-        assert bad == [], key
-    # the warm replay is served entirely from the cache
-    assert data["runs"]["warm_replay"]["all_cache_hits"]
-    assert data["priority_order"]["in_priority_order"]
-    assert data["priority_order"]["completion_order"] == [8, 4, 2, 1]
-    # every duplicate was served without recomputation (hit or coalesced)
-    n_dupes = data["n_jobs"] - len(data["unique_jobs"])
-    assert data["runs"]["with_cache"]["served_without_recompute"] >= n_dupes
-
-    path = hz.write_service_bench(data, out=tmp_path / "BENCH_service.json")
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["suite"] == "pagani-service-bench"
-    hz.print_service_bench(data)
-    out = capsys.readouterr().out
-    assert "priority completion order" in out
-    assert "bit-identity" in out
-
-
-def test_committed_service_bench_artifact_claims():
-    """The committed BENCH_service.json must actually evidence the
-    service-layer claims: >=5x duplicate-mix speedup via cache hits,
-    bit-identical replays, priority-order completion."""
-    import json
-
-    path = hz.RESULTS_DIR / hz.SERVICE_BENCH_FILE
-    data = json.loads(path.read_text())
-    assert data["suite"] == "pagani-service-bench"
-    assert data["generated_by"].endswith("harness.py --service")
-    assert data["cache_speedup"] >= 5.0
-    for key, bad in data["bit_identity"].items():
-        assert bad == [], key
-    assert data["priority_order"]["in_priority_order"]
-    assert data["runs"]["warm_replay"]["all_cache_hits"]
-
-
-def test_process_bench_smoke_roundtrip(tmp_path, capsys):
-    data = hz.run_process_bench(backends=["numpy", "threaded"], smoke=True)
-    assert data["mode"] == "smoke"
-    assert set(data["backends"]) == {"numpy", "threaded"}
-    assert data["n_members"] == len(hz.process_bench_members(smoke=True))
-    assert data["backends"]["numpy"]["speedup_vs_numpy"] == 1.0
-    for spec, d in data["backends"].items():
-        assert d["wall_seconds"] > 0
-        assert d["all_match"], spec
-        for r in d["members"]:
-            assert r["converged"], (spec, r)
-    # no process run requested -> the plain-integrate probe is skipped
-    assert data["plain_integrate_bit_identical"] is None
-
-    path = hz.write_process_bench(data, out=tmp_path / "BENCH_process.json")
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["suite"] == "pagani-process-bench"
-    hz.print_process_bench(data)
-    out = capsys.readouterr().out
-    assert "vs numpy" in out
-
-
-def test_process_bench_includes_process_backend_when_available():
-    from repro.backends import BackendUnavailableError, new_backend
-
-    try:
-        new_backend("process:2").close()
-    except BackendUnavailableError:
-        pytest.skip("process backend unavailable on this host")
-    data = hz.run_process_bench(backends=["numpy", "process"], smoke=True)
-    assert data["backends"]["process"]["all_match"]
-    assert data["plain_integrate_bit_identical"] is True
-
-
-def test_committed_process_bench_artifact_claims():
-    """The committed BENCH_process.json must evidence the process-backend
-    claims: agreement with the numpy reference everywhere, plain-
-    integrate bit-identity, and the >=3x speedup whenever the recording
-    host had enough cores for the expectation to apply."""
-    import json
-
-    path = hz.RESULTS_DIR / hz.PROCESS_BENCH_FILE
-    data = json.loads(path.read_text())
-    assert data["suite"] == "pagani-process-bench"
-    assert data["generated_by"].endswith("harness.py --process")
-    assert data["plain_integrate_bit_identical"] is True
-    assert {"numpy", "process"} <= set(data["backends"])
-    for spec, d in data["backends"].items():
-        assert d["all_match"], spec
-        for r in d["members"]:
-            assert r["converged"], (spec, r)
-    speedup = data["backends"]["process"]["speedup_vs_numpy"]
-    assert speedup is not None and speedup > 0
-    exp = data["expectation"]
-    assert exp["min_speedup_vs_numpy"] == hz.PROCESS_BENCH_MIN_SPEEDUP
-    assert exp["enforced_on_this_host"] == (
-        data["host"]["cpus"] >= exp["min_cores"]
-    )
-    if exp["enforced_on_this_host"]:
-        assert speedup >= exp["min_speedup_vs_numpy"]
-
-
-def test_service_bench_shards_recorded():
-    data = hz.run_service_bench(smoke=True, shards=2)
-    assert data["shards"] == 2
-    for key, bad in data["bit_identity"].items():
-        assert bad == [], key
-    assert data["priority_order"]["in_priority_order"]
-
-
 def test_batch_bench_members_cover_all_families():
     names = {f.name for f in hz.batch_bench_members(smoke=False)}
     for family in ("oscillatory", "product_peak", "corner_peak", "gaussian",
@@ -287,103 +118,190 @@ def test_batch_bench_members_cover_all_families():
     assert len(names) == 24
 
 
+
+
 # ---------------------------------------------------------------------------
-# HTTP traffic-trace benchmark
+# Scenario benchmarks: one row schema, one problems()
 # ---------------------------------------------------------------------------
-def test_http_bench_smoke_roundtrip(tmp_path, capsys):
-    data = hz.run_http_bench(smoke=True)
-    assert data["mode"] == "smoke"
-    assert data["suite"] == "pagani-http-bench"
-    n_unique = len(data["unique_jobs"])
-    assert data["n_jobs_per_wave"] == n_unique * data["duplicate_factor"]
-
-    for name, wave in data["waves"].items():
-        assert wave["all_converged"], name
-        # every wave replays bit-identically against cold integrate()
-        assert wave["replay_mismatches"] == [], name
-    assert data["waves"]["warm"]["cache_hit_fraction"] >= 0.5
-    restart = data["waves"]["restart_warm"]
-    # the restart wave never recomputes: a fresh LRU means every hit
-    # was served by the durable SQLite tier
-    assert restart["cache_hit_fraction"] >= 0.9
-    assert restart["fresh_runs"] == 0
-    assert restart["durable_hits"] >= n_unique
-    assert restart["durable_entries"] == n_unique
-    assert hz.http_bench_problems(data) == []
-
-    path = hz.write_http_bench(data, out=tmp_path / "BENCH_http.json")
-    import json
-
-    loaded = json.loads(path.read_text())
-    assert loaded["suite"] == "pagani-http-bench"
-    hz.print_http_bench(data)
-    out = capsys.readouterr().out
-    assert "restart_warm" in out
-    assert "durable" in out
+def committed(name):
+    return hz.load(hz.RESULTS_DIR / f"BENCH_{name}.json")
 
 
-def test_committed_http_bench_artifact_claims():
-    """The committed BENCH_http.json must evidence the durability
-    contract: the restart-warm wave serves >=90% of duplicate requests
-    from the durable store, bit-identical to cold integrate()."""
-    import json
-
-    path = hz.RESULTS_DIR / hz.HTTP_BENCH_FILE
-    data = json.loads(path.read_text())
-    assert data["suite"] == "pagani-http-bench"
-    assert data["generated_by"].endswith("harness.py --http")
-    for name, wave in data["waves"].items():
-        assert wave["all_converged"], name
-        assert wave["replay_mismatches"] == [], name
-    assert data["waves"]["warm"]["cache_hit_fraction"] >= 0.5
-    restart = data["waves"]["restart_warm"]
-    assert restart["cache_hit_fraction"] >= 0.9
-    assert restart["durable_hits"] >= len(data["unique_jobs"])
-    # the gate's floors ride inside the payload itself
-    assert data["expectation"]["min_restart_hit_rate"] >= 0.9
-    assert hz.http_bench_problems(data) == []
+def check(payload, name):
+    (found,) = [c for c in payload["checks"] if c["name"] == name]
+    return found
 
 
-def test_scenarios_bench_smoke_roundtrip(tmp_path, capsys):
-    data = hz.run_scenarios_bench(smoke=True)
-    assert data["mode"] == "smoke"
-    assert data["suite"] == "pagani-scenarios-bench"
-    for row in data["transforms"]:
-        assert row["converged"], row["spec"]
-        assert row["canonical_spec"]
-    assert all(m["converged"] for m in data["sweep"]["members"])
-    esc = data["escalation"]
-    # the watchdogged PAGANI attempt must actually escalate, and the
-    # result must keep the rung's own method — honest provenance
-    assert esc["escalated"]
-    assert esc["stages"][0]["method"] == "pagani"
-    assert esc["final_method"] == esc["stages"][-1]["method"] != "pagani"
-    assert esc["final_status"] == esc["stages"][-1]["status"]
-    assert hz.scenarios_bench_problems(data) == []
+# Routing stays out: its smoke bound is a wall-clock ratio on a
+# sub-second trace, too noisy for a shared test host.
+@pytest.mark.parametrize("name", [s for s in hz.SCENARIOS if s != "routing"])
+def test_scenario_smoke_roundtrip(name, tmp_path, capsys):
+    from repro.backends import available_backends
 
-    path = hz.write_scenarios_bench(data, out=tmp_path / "BENCH_scenarios.json")
-    import json
+    payload = hz.run(name, smoke=True)
+    assert payload["scenario"] == name
+    assert payload["mode"] == "smoke"
+    assert payload["rows"]
+    for row in payload["rows"]:
+        assert set(row) == set(hz.ROW_FIELDS)
+        assert row["scenario"] == name
+        assert row["wall_s"] > 0 and row["neval"] > 0
+    for c in payload["checks"]:
+        assert set(c) == set(hz.CHECK_FIELDS)
+    if name in ("backends", "batch", "process"):
+        lanes = {row["lane"] for row in payload["rows"]}
+        assert lanes == set(available_backends())
+    assert hz.problems(payload) == []
 
-    loaded = json.loads(path.read_text())
-    assert loaded["suite"] == "pagani-scenarios-bench"
-    hz.print_scenarios_bench(data)
-    out = capsys.readouterr().out
-    assert "escalation" in out
-    assert "pagani->" in out
+    path = hz.write(payload, tmp_path)
+    assert path.name == f"BENCH_{name}.json"
+    assert hz.load(path) == payload
+    hz.print_payload(payload)
+    assert f"=== {name} (smoke" in capsys.readouterr().out
 
 
-def test_committed_scenarios_bench_artifact_claims():
-    """The committed BENCH_scenarios.json must evidence the opened
-    workload space: every transform family and sweep member converged,
-    and the escalation row kept honest PAGANI-first provenance."""
-    import json
+@pytest.mark.parametrize("name", list(hz.SCENARIOS))
+def test_committed_artifact_is_a_clean_non_smoke_run(name):
+    data = committed(name)
+    assert data["scenario"] == name
+    assert data["mode"] != "smoke"
+    assert data["generated_by"].endswith(f"harness.py {name}")
+    assert hz.problems(data) == []
 
-    path = hz.RESULTS_DIR / hz.SCENARIOS_BENCH_FILE
-    data = json.loads(path.read_text())
-    assert data["suite"] == "pagani-scenarios-bench"
-    assert data["generated_by"].endswith("harness.py --scenarios")
-    families = {row["spec"].split("(")[0] for row in data["transforms"]}
-    assert families == {"semi_infinite", "infinite", "gaussian_measure"}
-    assert len(data["sweep"]["members"]) >= 2
-    assert data["escalation"]["escalated"]
-    assert hz.scenarios_bench_problems(data) == []
+
+def test_committed_service_artifact_claims():
+    """Duplicates served >=5x faster through the cache, none recomputed,
+    bit-identical to cold integrate() in every pass, completed in
+    priority order."""
+    data = committed("service")
+    assert check(data, "duplicate mix: cache speedup")["value"] >= 5.0
+    served = check(data, "duplicate mix: duplicates served without recompute")
+    assert served["value"] >= served["bound"] > 0
+    assert check(data, "priority completion order")["value"] == [8, 4, 2, 1]
+    assert all(row["agrees"] for row in data["rows"])
+
+
+def test_committed_process_artifact_claims():
+    """Plain integrate() on the process backend is bit-identical to
+    numpy; the >=3x speedup is required only on a >=4-core host."""
+    data = committed("process")
+    (plain,) = [r for r in data["rows"] if r["workload"].startswith("plain")]
+    assert plain["lane"] == "process" and plain["agrees"] is True
+    assert {"numpy", "process"} <= {row["lane"] for row in data["rows"]}
+    speedup = check(data, "process speedup vs numpy")
+    assert speedup["bound"] == hz.PROCESS_BENCH_MIN_SPEEDUP
+    assert speedup["enforced"] == (
+        data["host"]["cpus"] >= hz.PROCESS_BENCH_MIN_CORES
+    )
+    if speedup["enforced"]:
+        assert speedup["value"] >= speedup["bound"]
+
+
+def test_committed_http_artifact_claims():
+    """After a restart the durable store serves every duplicate, and
+    every wave replays bit-identically to cold integrate()."""
+    data = committed("http")
+    assert check(data, "warm hit rate")["value"] >= 0.5
+    assert check(data, "restart_warm hit rate")["value"] >= 0.9
+    assert check(data, "restart_warm fresh runs")["value"] == 0
+    entries = check(data, "restart_warm durable entries")
+    assert entries["value"] == entries["bound"] > 0
+    lanes = {row["lane"]: row for row in data["rows"]}
+    assert set(lanes) == {"cold", "warm", "restart_warm"}
+    assert all(row["agrees"] for row in lanes.values())
+
+
+def test_committed_scenarios_artifact_claims():
+    """Every transform family converges, and the escalated result keeps
+    its PAGANI-first history without being relabelled."""
+    data = committed("scenarios")
+    families = {row["workload"].split("(")[0] for row in data["rows"]}
+    assert {"semi_infinite", "infinite", "gaussian_measure"} <= families
+    history = check(data, "escalation history")["value"]
+    assert history[0] == "pagani"
+    assert check(data, "final method")["value"] == history[-1] != "pagani"
+
+
+def payload(scenario="backends", rate=0.1, converged=True, agrees=True,
+            checks=()):
+    """A one-row payload with a known numpy s/Meval."""
+    neval = 2_000_000
+    return {
+        "scenario": scenario,
+        "rows": [{
+            "scenario": scenario, "workload": "3D f4 d3", "lane": "numpy",
+            "wall_s": rate * neval / 1e6, "neval": neval, "s_per_meval": rate,
+            "converged": converged, "agrees": agrees,
+        }],
+        "checks": list(checks),
+    }
+
+
+def test_problems_clean_within_rate_tolerance():
+    assert hz.problems(payload(rate=0.25), baseline=payload(rate=0.1)) == []
+
+
+def test_problems_dnf_is_fatal_even_when_fast():
+    found = hz.problems(payload(rate=0.05, converged=False),
+                        baseline=payload())
+    assert found and "did not converge" in found[0]
+
+
+@pytest.mark.parametrize("agrees, fatal", [(False, True), (None, False)])
+def test_problems_disagreement_is_fatal(agrees, fatal):
+    found = hz.problems(payload("batch", agrees=agrees))
+    assert bool(found) == fatal
+    if fatal:
+        assert "disagrees with the reference" in found[0]
+
+
+@pytest.mark.parametrize("scenario, fatal", [("backends", True),
+                                             ("batch", False)])
+def test_problems_rate_rule_applies_to_backends_only(scenario, fatal):
+    found = hz.problems(payload(scenario, rate=0.5), baseline=payload())
+    assert bool(found) == fatal
+    if fatal:
+        assert "5.00x the committed" in found[0]
+
+
+def test_problems_backends_without_numpy_rows_fails():
+    current = payload()
+    current["rows"][0]["lane"] = "threaded"
+    assert "no numpy rows" in hz.problems(current, baseline=payload())[0]
+
+
+@pytest.mark.parametrize("enforced", [True, False])
+def test_problems_failed_check_is_fatal_only_when_enforced(enforced):
+    failed = {"name": "process speedup vs numpy", "value": 1.2, "bound": 3.0,
+              "enforced": enforced, "ok": False}
+    found = hz.problems(payload("process", checks=[failed]))
+    assert bool(found) == enforced
+
+
+@pytest.mark.parametrize("broken", [
+    None,
+    {"rows": [], "checks": []},
+    {"scenario": "batch", "checks": []},
+    {"scenario": "batch", "rows": [{"lane": "numpy"}], "checks": []},
+    {"scenario": "batch", "rows": [], "checks": [{"name": "x"}]},
+])
+def test_problems_malformed_payload_exits_2(broken):
+    with pytest.raises(SystemExit) as exc:
+        hz.problems(broken)
+    assert exc.value.code == 2
+
+
+def test_unreadable_payload_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (bad, tmp_path / "missing.json"):
+        with pytest.raises(SystemExit) as exc:
+            hz.load(path)
+        assert exc.value.code == 2
+
+
+def test_main_writes_payloads_and_exits_1_on_a_problem(tmp_path, monkeypatch):
+    dnf = payload("batch", converged=False)["rows"][0]
+    monkeypatch.setitem(hz.SCENARIOS, "batch", lambda smoke: ([dnf], []))
+    assert hz.main(["batch", "--smoke", "--out", str(tmp_path)]) == 1
+    assert hz.load(tmp_path / "BENCH_batch.json")["rows"][0]["converged"] is False
