@@ -19,7 +19,6 @@ import csv
 import harness as hz
 from repro.baselines.vegas import VegasConfig, VegasIntegrator
 from repro.core.pagani import PaganiConfig, PaganiIntegrator
-from repro.cubature.gauss_kronrod import point_count as gk_count
 from repro.cubature.rules import point_count as gm_count
 from repro.integrands.paper import f4_gaussian
 from repro.sparse_grids import SmolyakConfig, SmolyakIntegrator
@@ -42,8 +41,7 @@ def _run_comparison():
 
 def test_rule_cost_growth(benchmark):
     rows = benchmark.pedantic(
-        lambda: [(n, gm_count(n), gk_count(n) if n <= 6 else 15**n)
-                 for n in range(2, 11)],
+        lambda: [(n, gm_count(n), 15**n) for n in range(2, 11)],
         rounds=1, iterations=1,
     )
     body = [[n, gm, gk, f"{gk / gm:.1f}x"] for n, gm, gk in rows]

@@ -533,9 +533,8 @@ def _close(a, b) -> bool:
     ) and math.isclose(a.errorest, b.errorest, rel_tol=1e-9, abs_tol=1e-300)
 
 
-#: fixed lane order, numpy (the reference) first.  The routing ratios
-#: depend on it: the lane timed right after the process lane closes its
-#: pool runs slow, and in this order that lane is auto (ROADMAP item 4).
+#: fixed lane order, numpy (the reference) first; in the routing
+#: scenario auto runs last, right after the process lane closes its pool
 LANE_ORDER = ("numpy", "threaded", "process")
 
 
@@ -956,9 +955,30 @@ def _tiny_trace(members, backend) -> list:
     ]
 
 
+def _sweep_pool(spec, bk, members):
+    """The process pool a fused-sweep lane fans out to, or ``None``: the
+    lane's own instance, or for ``auto`` the shared instance it routes
+    the batch to (routing is a pure function of the jobs and the host,
+    so a fresh router answers for the process-wide one)."""
+    from repro.backends import get_backend
+    from repro.backends.process import ProcessNumpyBackend
+    from repro.backends.routing import BackendRouter
+
+    if spec == "auto":
+        routed = BackendRouter().decide_batch([f.ndim for f in members])
+        bk = get_backend(routed.backend)
+    return bk if isinstance(bk, ProcessNumpyBackend) else None
+
+
 def scenario_routing(smoke: bool) -> tuple:
     """``backend="auto"`` within a bound of the best fixed backend on a
-    tiny-job trace and the fused fig5/fig6 sweep; shm vs pickling IPC."""
+    tiny-job trace and the fused fig5/fig6 sweep; shm vs pickling IPC.
+
+    On the fused sweep every process pool, auto's routed one included,
+    is started before its lane's timed region and closed after it.  The
+    tiny trace's plain runs evaluate one chunk per sweep, so no lane
+    builds a pool there (the serial guard) and none is started: forked
+    workers would only tax the parent's page writes."""
     from repro.backends import new_backend
     from repro.backends.process import (
         ProcessNumpyBackend,
@@ -966,23 +986,31 @@ def scenario_routing(smoke: bool) -> tuple:
         shared_memory_available,
     )
 
+    # Probe before any lane: the first shared-memory segment starts the
+    # resource tracker, a separate interpreter whose start-up would
+    # otherwise overlap the first timed process lane and the lane after.
+    ipc_lanes = process_pool_available() and shared_memory_available()
     sweep = process_bench_members(smoke=smoke)
     shapes = (
-        ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace),
-        ("fused sweep", sweep, _fused_sweep),
+        ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace, False),
+        ("fused sweep", sweep, _fused_sweep, True),
     )
     max_ratio = ROUTING_AUTO_MAX_RATIO_SMOKE if smoke else ROUTING_AUTO_MAX_RATIO
     rows, checks = [], []
-    for workload, members, run_shape in shapes:
+    for workload, members, run_shape, fans_out in shapes:
         _warm_rules(members)
         walls, reference = {}, None
         for spec in _host_lanes() + ["auto"]:
             bk = spec if spec == "auto" else new_backend(spec)
+            pool = _sweep_pool(spec, bk, members) if fans_out else None
             try:
+                if pool is not None:
+                    pool.start()
                 results, walls[spec] = _timed(run_shape, members, bk)
             finally:
-                if spec != "auto" and hasattr(bk, "close"):
-                    bk.close()
+                for owned in {bk, pool}:
+                    if hasattr(owned, "close"):
+                        owned.close()
             if reference is None:
                 reference = results
             rows.append(_row(workload, spec, walls[spec], results,
@@ -993,13 +1021,14 @@ def scenario_routing(smoke: bool) -> tuple:
         checks.append(_check(f"{workload}: auto / best fixed ({best})",
                              ratio, max_ratio, ratio <= max_ratio))
 
-    if process_pool_available() and shared_memory_available():
+    if ipc_lanes:
         cpus = os.cpu_count() or 1
         width = max(2, cpus)
         rates = {}
         for ipc in ("shm", "pickle"):
             bk = ProcessNumpyBackend(num_workers=width, ipc=ipc)
             try:
+                bk.start()
                 results, wall = _timed(_fused_sweep, sweep, bk)
             finally:
                 bk.close()

@@ -230,13 +230,11 @@ def integrate_request(
             from repro.service.escalation import EscalationPolicy
 
             policy = EscalationPolicy.parse(request.escalation)
-        router = None
         backend = request.backend
         if isinstance(backend, str) and backend == "auto":
             from repro.backends.routing import shared_router
 
-            router = shared_router()
-            backend = router.decide(
+            backend = shared_router().decide(
                 ndim=ndim, rel_tol=request.rel_tol
             ).backend
         cfg = request.to_pagani_config(integrand, backend=backend)
@@ -250,10 +248,6 @@ def integrate_request(
         result = PaganiIntegrator(cfg, device=device).integrate(
             integrand, ndim, bounds=request.bounds
         )
-        if router is not None:
-            router.observe(
-                backend, result.neval, getattr(result, "wall_seconds", 0.0) or 0.0
-            )
         if policy is not None and policy.should_escalate(result):
             result = policy.apply(
                 integrand, ndim, request, result, device=device
@@ -353,7 +347,8 @@ def integrate(
         :mod:`repro.backends`.  ``"auto"`` routes this call through the
         process-wide :class:`~repro.backends.routing.BackendRouter`
         (cheapest adequate backend for the job's predicted first-sweep
-        cost; the observed timing refines later decisions).  Only
+        cost — a fixed cost model, so the same job on the same host
+        always routes the same way, whatever ran before it).  Only
         ``method="pagani"`` accepts a non-default backend.
     escalation:
         Baseline escalation policy for failed PAGANI runs — ``None``
@@ -649,13 +644,13 @@ def integrate_many(
         bounds if bounds is not None else request.bounds, ndims
     )
 
-    router = None
     backend = request.backend
     if isinstance(backend, str) and backend == "auto":
         from repro.backends.routing import shared_router
 
-        router = shared_router()
-        backend = router.decide_batch(ndims, rel_tol=request.rel_tol).backend
+        backend = shared_router().decide_batch(
+            ndims, rel_tol=request.rel_tol
+        ).backend
 
     bk = get_backend(backend)
     budget = PaganiConfig.resolve_chunk_budget(bk, chunk_budget)
@@ -684,14 +679,6 @@ def integrate_many(
         ref = getattr(f, "reference", None)
         if res is not None and ref is not None:
             res.true_value = float(ref)
-    if router is not None:
-        live = [r for r in results if r is not None]
-        if live:
-            router.observe(
-                bk.name,
-                sum(r.neval for r in live),
-                max(getattr(r, "wall_seconds", 0.0) or 0.0 for r in live),
-            )
     return (results, scheduler.stats) if return_stats else results
 
 
@@ -801,7 +788,8 @@ def serve_http(
         ``server.port`` / ``server.url``.
     max_concurrent / backend / shards / cache_entries / collect_traces:
         Forwarded to :class:`~repro.service.IntegrationService`
-        (``backend="auto"`` enables per-job adaptive routing).
+        (``backend="auto"`` routes each job by its predicted first-sweep
+        cost).
     cache_dir:
         When given, results are also persisted to a SQLite store under
         this directory (:class:`~repro.service.TieredResultCache`):

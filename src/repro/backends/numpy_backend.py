@@ -42,7 +42,10 @@ class NumpyBackend(ArrayBackend):
         return float(np.sum(values))
 
     def dot(self, a: Any, b: Any) -> float:
-        return float(np.dot(a, b))
+        # Not ``np.dot``: BLAS splits a long dot product across its threads,
+        # so the bits would depend on the BLAS thread count.  NumPy's
+        # pairwise sum has one fixed order.
+        return float(np.sum(np.multiply(a, b)))
 
     def minmax(self, values: Any) -> Tuple[float, float]:
         if values.size == 0:

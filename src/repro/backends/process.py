@@ -66,6 +66,7 @@ Fallbacks and failure
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import weakref
 from collections import OrderedDict
@@ -335,9 +336,10 @@ class ProcessNumpyBackend(NumpyBackend):
         shared-memory segments; :attr:`effective_ipc` reports the
         transport actually in use.
 
-    The pool is built lazily on the first parallel submission and reused
-    for the backend's lifetime (workers keep their integrand/rule/arena
-    caches warm); :meth:`close` shuts it down explicitly.
+    The pool is built lazily on the first parallel submission (or by
+    :meth:`start`) and reused for the backend's lifetime (workers keep
+    their integrand/rule/arena caches warm); :meth:`close` shuts it down
+    explicitly.
     """
 
     name = "process"
@@ -380,8 +382,26 @@ class ProcessNumpyBackend(NumpyBackend):
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            if self.effective_ipc == "shm":
+                # Workers must inherit the parent's resource tracker
+                # (see _worker_attach_shm): a worker forked before it
+                # runs starts its own on first attach, in the timed
+                # path, and that tracker unlinks the parent's arenas as
+                # "leaked" when the worker exits.
+                from multiprocessing import resource_tracker
+
+                resource_tracker.ensure_running()
             self._pool = ProcessPoolExecutor(max_workers=self.num_workers)
         return self._pool
+
+    def start(self) -> None:
+        """Build the pool now and wait until every worker answers, so the
+        first parallel sweep does not pay process start-up (benchmarks
+        call this outside their timed region).  No-op at width 1."""
+        if self.num_workers > 1:
+            pool = self._ensure_pool()
+            for fut in [pool.submit(os.getpid) for _ in range(self.num_workers)]:
+                fut.result()
 
     def _discard_pool(self) -> None:
         """Drop a broken pool without waiting; next use builds a fresh one."""

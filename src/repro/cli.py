@@ -191,7 +191,7 @@ def main(argv: Optional[list] = None) -> int:
         "--backend", default="numpy",
         help=f"execution backend spec for every job ({backend_spec_help()}; "
         "each shard resolves its own instance); auto routes each job "
-        "adaptively and jobs may pin their own with a per-job "
+        "by its predicted cost and jobs may pin their own with a per-job "
         "\"backend\" field",
     )
     serve.add_argument(

@@ -195,11 +195,14 @@ def compute_chunk(
         np.prod(h2, axis=1, out=vol)
 
     def contract(w: np.ndarray, name: str):
-        # vol * (vals @ w), optionally into a scratch vector
+        # vol * (vals @ w), optionally into a scratch vector.  einsum, not
+        # BLAS: a threaded gemv splits the rows across threads and the
+        # split changes which rows take the kernel's remainder path, so
+        # ``vals @ w`` bits depend on the BLAS thread count.
         if scratch is None:
-            return vol * (vals @ w)
+            return vol * np.einsum("ij,j->i", vals, w)
         out = scratch.take(name, (mc,))
-        np.matmul(vals, w, out=out)
+        np.einsum("ij,j->i", vals, w, out=out)
         np.multiply(vol, out, out=out)
         return out
 

@@ -146,8 +146,8 @@ class _Shard:
     All tables are keyed by the shard-local rotation member id.
     ``members``/``followers``/``weights``/``member_fp`` are read and
     written across threads (stats, cross-shard coalescing) and are only
-    touched under the service condition lock; ``credits``/``resolved``/
-    ``routed`` are private to the owning worker thread.
+    touched under the service condition lock; ``credits``/``resolved``
+    are private to the owning worker thread.
 
     ``backend`` is the shard's *default* instance (every job, absent
     routing); ``extras`` caches shard-owned instances for routed /
@@ -156,7 +156,7 @@ class _Shard:
 
     __slots__ = (
         "index", "backend", "scheduler", "members", "resolved", "weights",
-        "credits", "followers", "member_fp", "routed", "extras", "thread",
+        "credits", "followers", "member_fp", "extras", "thread",
     )
 
     def __init__(self, index: int, backend: ArrayBackend):
@@ -169,9 +169,6 @@ class _Shard:
         self.credits: Dict[int, float] = {}
         self.followers: Dict[int, List[JobHandle]] = {}
         self.member_fp: Dict[int, str] = {}
-        #: member id -> (resolved backend name, admit perf_counter) for
-        #: feeding observed sweep timings back to the router
-        self.routed: Dict[int, Tuple[str, float]] = {}
         #: spec string -> shard-owned backend instance (routing/override)
         self.extras: Dict[str, ArrayBackend] = {}
         self.thread: Optional[threading.Thread] = None
@@ -194,9 +191,10 @@ class IntegrationService:
         execute truly concurrently); a shared :class:`ArrayBackend`
         instance is honoured but serialises the shards on one pool.
         ``"auto"`` enables per-job routing: every admitted job is scored
-        by a :class:`~repro.backends.routing.BackendRouter` (seeded from
-        the committed bench priors, refined by this service's observed
-        timings, pool width autotuned at start on multi-core hosts) and
+        by a :class:`~repro.backends.routing.BackendRouter` (a fixed
+        cost model over the job's first-sweep evaluations, the pool
+        width and pool availability — no feedback from earlier jobs, so
+        the same job always routes, and fingerprints, the same way) and
         runs on the cheapest adequate backend; its fingerprint records
         the backend it actually ran on.  A job's own ``JobSpec.backend``
         always wins over both the pinned spec and the router.
@@ -259,7 +257,6 @@ class IntegrationService:
         collect_traces: bool = False,
         history_limit: Optional[int] = None,
         shards: int = 1,
-        routing_autotune: bool = True,
         escalation=None,
     ):
         if max_concurrent < 1:
@@ -277,10 +274,6 @@ class IntegrationService:
             from repro.backends.routing import BackendRouter
 
             self._router = BackendRouter()
-            if routing_autotune:
-                # Width probe at service start: measure real pool widths
-                # instead of trusting cpu_count (no-op on 1-CPU hosts).
-                self._router.autotune_width()
             # Routed shards still need a default instance: it anchors
             # the reference chunk budget and serves as the fallback when
             # a routed spec fails to build.  numpy is always adequate.
@@ -729,10 +722,6 @@ class IntegrationService:
                 self._finish(handle, JobStatus.FAILED, exception=exc)
                 continue
             index = shard.scheduler.add(run)
-            if self._router is not None:
-                import time as _time
-
-                shard.routed[index] = (run_backend.name, _time.monotonic())
             # Member/follower tables are read by stats() and sibling
             # shards; every structural mutation happens under the lock.
             with self._cond:
@@ -820,7 +809,6 @@ class IntegrationService:
                 self._inflight.pop(fingerprint)
         shard.resolved.pop(index)
         shard.credits.pop(index)
-        shard.routed.pop(index, None)
 
         if cancelled:
             handle._complete(JobStatus.CANCELLED, exception=CancelledError())
@@ -863,14 +851,6 @@ class IntegrationService:
         shard.scheduler.retire_member(index)
         resolved = shard.resolved.pop(index)
         shard.credits.pop(index)
-        routed = shard.routed.pop(index, None)
-        if routed is not None and self._router is not None:
-            import time as _time
-
-            name, admitted_at = routed
-            self._router.observe(
-                name, result.neval, _time.monotonic() - admitted_at
-            )
         if resolved.reference is not None:
             result.true_value = resolved.reference
         handle_peek = shard.members[index]

@@ -216,6 +216,44 @@ def test_close_is_idempotent_and_pool_rebuilds():
     bk.close()
 
 
+def test_started_pool_shares_the_parent_resource_tracker():
+    """start() forks the workers before any shared-memory segment
+    exists; they must still share the parent's resource tracker, or each
+    starts its own on first attach and unlinks the parent's arenas as
+    "leaked" when it exits.  Run in a fresh interpreter, where no
+    tracker is up yet."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.backends.process import shared_memory_available
+
+    _process_backend(2).close()
+    if not shared_memory_available():  # pragma: no cover - sandbox
+        pytest.skip("no shared memory on this host")
+    script = (
+        "from repro.api import integrate_many\n"
+        "from repro.backends import ProcessNumpyBackend\n"
+        "from repro.integrands.catalog import named_integrand\n"
+        "bk = ProcessNumpyBackend(num_workers=2)\n"
+        "bk.start()\n"
+        "integrate_many([named_integrand('3D-f4')] * 2, rel_tol=1e-4,"
+        " backend=bk)\n"
+        "bk.close()\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "leaked" not in proc.stderr, proc.stderr
+
+
 def test_width_one_pool_runs_serially():
     bk = _process_backend(1)
     try:

@@ -1,4 +1,4 @@
-"""Adaptive routing: decision table, refinement, and conformance.
+"""Routing: decision table, determinism, and conformance.
 
 The router may only choose *where* bits are computed, never *which*
 bits: every routed outcome must be bit-identical to naming the resolved
@@ -23,9 +23,7 @@ from repro.integrands.catalog import named_integrand
 
 
 def router(**kw):
-    """A fully injected router: no host probing, deterministic priors."""
-    kw.setdefault("priors", {"numpy": 0.105, "threaded": 0.12, "process": 0.11})
-    kw.setdefault("batch_gains", {"numpy": 1.0, "threaded": 1.9, "process": 2.2})
+    """A fully injected router: no host probing."""
     kw.setdefault("process", True)
     kw.setdefault("process_width", 8)
     return BackendRouter(**kw)
@@ -138,59 +136,10 @@ def test_decide_batch_rejects_unknown_context():
         router().decide_batch([3], context="cluster")
 
 
-def test_observation_refines_decisions():
-    r = router()
-    assert r.decide(ndim=8).backend == "process:8"
-    # Report the pool crawling (heavy oversubscription, say): the EWMA
-    # belief update must flip the big-job decision back to numpy.
-    for _ in range(20):
-        r.observe("process:8", neval=1_000_000, seconds=10.0)
-    assert r.decide(ndim=8).backend == "numpy"
-    stats = r.stats()
-    assert stats["observations"] == 20
-    assert stats["observed_s_per_meval"]["process"] > 1.0
-    assert stats["decisions"] == {"process": 1, "numpy": 1}
-
-
-def test_bad_observations_are_ignored():
-    r = router()
-    r.observe("numpy", neval=0, seconds=1.0)
-    r.observe("numpy", neval=100, seconds=0.0)
-    assert r.stats()["observations"] == 0
-
-
-def test_autotune_probes_real_pool_widths(monkeypatch):
-    """With a usable multi-worker host the autotune probe times real
-    pools and adopts the fastest width (one candidate here, so the
-    outcome is deterministic)."""
-    from repro.backends import routing as routing_mod
-    from repro.backends.process import process_pool_available
-
-    if not process_pool_available():
-        pytest.skip("no process pool on this host")
-    monkeypatch.setattr(routing_mod, "resolve_workers", lambda n=None: 2)
-    r = router()
-    assert r.autotune_width(probe_rel_tol=1e-2) == 2
-    assert r.process_width == 2
-    assert set(r.autotune_report) == {"2"}
-    assert r.autotune_report["2"] > 0
-    assert r.stats()["autotuned"] is True
-    # probe timings are width-selection evidence only, never EWMA input
-    assert r.stats()["observations"] == 0
-
-
 def test_host_router_candidates_are_numpy_and_the_process_pool():
     candidates = BackendRouter().stats()["candidates"]
     assert candidates[0] == "numpy"
     assert {c.partition(":")[0] for c in candidates} <= {"numpy", "process"}
-
-
-def test_autotune_without_pool_pins_width_one():
-    r = router(process=False)
-    assert r.autotune_width() == 1
-    assert r.process_width == 1
-    assert r.stats()["candidates"] == ["numpy"]
-    assert r.stats()["autotuned"] is True
 
 
 def test_decisions_are_thread_safe():
@@ -203,7 +152,6 @@ def test_decisions_are_thread_safe():
         try:
             for _ in range(200):
                 r.decide(ndim=3)
-                r.observe("numpy", 1000, 1e-4)
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -237,12 +185,22 @@ def test_routed_integrate_many_bit_identical():
         assert a.errorest == b.errorest
 
 
-def test_shared_router_is_singleton_and_learns():
-    r = shared_router()
-    assert r is shared_router()
-    before = r.stats()["observations"]
-    integrate(named_integrand("3D-f4"), 3, rel_tol=1e-3, backend="auto")
-    assert r.stats()["observations"] == before + 1
+def test_shared_router_is_singleton():
+    assert shared_router() is shared_router()
+
+
+def test_routing_does_not_depend_on_history():
+    """A routed batch leaves the shared router deciding exactly as a
+    fresh one: nothing timed at run time feeds back into routing.  The
+    members are perfbench's sweep_auto batch."""
+    specs = ["4D-f2", "5D-f4", "4D-f4", "4D-f5", "3D-f2", "3D-f6", "3D-f4", "3D-f5"]
+    members = [named_integrand(s) for s in specs]
+    ndims = [f.ndim for f in members]
+    integrate_many(members, rel_tol=1e-3, backend="auto")
+    assert (
+        shared_router().decide_batch(ndims).backend
+        == BackendRouter().decide_batch(ndims).backend
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +210,7 @@ def test_service_auto_resolves_backend_and_fingerprint():
     from repro.core.pagani import PaganiConfig
     from repro.service import IntegrationService, JobSpec, job_fingerprint
 
-    service = IntegrationService(backend="auto", routing_autotune=False)
+    service = IntegrationService(backend="auto")
     try:
         assert service.stats()["backend"] == "auto"
         assert "routing" in service.stats()
@@ -283,10 +241,30 @@ def test_service_auto_resolves_backend_and_fingerprint():
     assert handle.stats.fingerprint == expected
 
 
+def test_service_auto_fingerprint_does_not_depend_on_history():
+    """Other traffic through an auto service never changes how a job
+    routes, so the same JobSpec keeps the same cache fingerprint."""
+    from repro.service import IntegrationService, JobSpec
+
+    service = IntegrationService(backend="auto")
+    try:
+        # 6D routes to the process pool in batch context on any host
+        # with a usable pool, 3D to numpy.
+        first = service.submit_spec(JobSpec("6D-f4", rel_tol=1e-2))
+        first.wait()
+        service.submit_spec(JobSpec("3D-f4", rel_tol=1e-3)).wait()
+        again = service.submit_spec(JobSpec("6D-f4", rel_tol=1e-2))
+        again.wait()
+    finally:
+        service.shutdown(wait=True)
+    assert again.stats.fingerprint == first.stats.fingerprint
+    assert again.stats.cache_hit
+
+
 def test_service_per_job_override_beats_routing():
     from repro.service import IntegrationService, JobSpec
 
-    service = IntegrationService(backend="auto", routing_autotune=False)
+    service = IntegrationService(backend="auto")
     try:
         pinned = service.submit_spec(
             JobSpec("3D-f4", rel_tol=1e-3, backend="numpy")

@@ -69,3 +69,42 @@ def test_golden_covers_every_family():
         "discontinuous",
     }
     assert len(GOLDEN["rows"]) >= 12
+
+
+
+def test_genz_bits_independent_of_blas_threads():
+    """5D-c0 runs a 6250-region sweep: a threaded BLAS dot or gemv on
+    that size splits its work unevenly across threads and moves the
+    error estimate by an ULP.  The reductions are fixed-order, so fresh
+    interpreters at 1 and 2 BLAS threads give the same bits."""
+    import os
+    import subprocess
+    import sys
+
+    row = next(r for r in GOLDEN["rows"] if _case_id(r) == "5D-c0")
+    script = (
+        "from repro.api import integrate\n"
+        "from repro.integrands.genz import make_genz\n"
+        f"f = make_genz('c0', 5, seed={row['seed']})\n"
+        f"r = integrate(f, 5, rel_tol={row['rel_tol']!r}, backend='numpy')\n"
+        "print(float(r.estimate).hex(), float(r.errorest).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout.split())
+    assert bits[0] == bits[1]
+    if SAME_ENVIRONMENT:
+        assert bits[0] == [row["estimate_hex"], row["errorest_hex"]]

@@ -83,6 +83,31 @@ def test_pyproject_declares_console_script_and_package():
     assert 'pagani-repro = "repro.cli:main"' in pyproject
 
 
+def test_module_level_imports_are_declared_dependencies():
+    """A clean install from pyproject.toml must import: every third-party
+    package that ``src/`` imports at module level is a declared
+    dependency (imports nested in functions or ``try`` are optional)."""
+    import ast
+    import sys
+
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    declared = {
+        re.split(r"[<>=!~\[ ]", d.strip().strip('"'))[0]
+        for d in deps.group(1).split(",")
+        if d.strip()
+    }
+    imported = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+    assert third_party <= declared, sorted(third_party - declared)
+
+
 def test_all_registered_backend_names_reach_the_cli_help(capsys):
     """`--backend` help is generated from the registry
     (``backend_spec_help``), so every registered backend must appear in
