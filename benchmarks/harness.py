@@ -519,18 +519,11 @@ def _timed(fn, *args, **kwargs) -> tuple:
 
 
 def _same_bits(a, b) -> bool:
-    """The bit-identity contract (same chunk decomposition)."""
+    """The bit-identity contract (any backend, any chunk grain)."""
     return (
         a.estimate == b.estimate and a.errorest == b.errorest
         and a.iterations == b.iterations and a.neval == b.neval
     )
-
-
-def _close(a, b) -> bool:
-    """The machine-precision contract (a different fused chunk grain)."""
-    return math.isclose(
-        a.estimate, b.estimate, rel_tol=1e-12, abs_tol=0.0
-    ) and math.isclose(a.errorest, b.errorest, rel_tol=1e-9, abs_tol=1e-300)
 
 
 #: fixed lane order, numpy (the reference) first; in the routing
@@ -614,12 +607,8 @@ def batch_bench_members(smoke: bool = False) -> List[Integrand]:
 
 
 def scenario_batch(smoke: bool) -> tuple:
-    """Sequential vs batched throughput per backend.
-
-    Batched numpy reproduces the sequential bits exactly; the parallel
-    backends batch at a different fused chunk grain and are held to
-    machine precision.
-    """
+    """Sequential vs batched throughput per backend; every batched lane
+    reproduces the sequential bits exactly."""
     from repro.api import integrate, integrate_many
     from repro.backends import get_backend
 
@@ -635,12 +624,11 @@ def scenario_batch(smoke: bool) -> tuple:
         bat, t_bat = _timed(integrate_many, members, backend=bk, **opts)
         if reference is None:
             reference = seq
-        same = _same_bits if spec == "numpy" else _close
         rows += [
             _row("sequential", spec, t_seq, seq,
                  None if seq is reference
                  else all(map(_same_bits, seq, reference))),
-            _row("batched", spec, t_bat, bat, all(map(same, bat, seq))),
+            _row("batched", spec, t_bat, bat, all(map(_same_bits, bat, seq))),
         ]
     return rows, []
 
@@ -906,9 +894,9 @@ def _fused_sweep(members, backend) -> list:
 
 
 def scenario_process(smoke: bool) -> tuple:
-    """Process-backend speedup over numpy, and its numerics contracts:
-    plain integrate() on the process backend is bit-identical to numpy,
-    batched results agree with sequential numpy to machine precision."""
+    """Process-backend speedup over numpy, and its numerics contract:
+    plain and batched results on every lane are bit-identical to
+    sequential numpy."""
     from repro.api import integrate
     from repro.backends import get_backend
 
@@ -919,9 +907,8 @@ def scenario_process(smoke: bool) -> tuple:
     rows, walls = [], {}
     for spec in _host_lanes():
         results, walls[spec] = _timed(_fused_sweep, members, get_backend(spec))
-        same = _same_bits if spec == "numpy" else _close
         rows.append(_row("fig5/fig6 batch", spec, walls[spec], results,
-                         all(map(same, results, references))))
+                         all(map(_same_bits, results, references))))
     if "process" not in walls:
         return rows, []
     probe = members[0]
@@ -1015,7 +1002,7 @@ def scenario_routing(smoke: bool) -> tuple:
                 reference = results
             rows.append(_row(workload, spec, walls[spec], results,
                              None if results is reference
-                             else all(map(_close, results, reference))))
+                             else all(map(_same_bits, results, reference))))
         best = min((s for s in walls if s != "auto"), key=walls.get)
         ratio = walls["auto"] / walls[best]
         checks.append(_check(f"{workload}: auto / best fixed ({best})",
@@ -1033,7 +1020,7 @@ def scenario_routing(smoke: bool) -> tuple:
             finally:
                 bk.close()
             row = _row("fused sweep", f"process:{width} {ipc}", wall, results,
-                       all(map(_close, results, reference)))
+                       all(map(_same_bits, results, reference)))
             rows.append(row)
             rates[ipc] = row["s_per_meval"]
         speedup = rates["pickle"] / rates["shm"]

@@ -173,14 +173,11 @@ class IntegrationRequest:
         integrand: Optional[Callable] = None,
         *,
         backend: BackendLike = None,
-        chunk_budget: Optional[int] = None,
     ) -> PaganiConfig:
         """Materialise a :class:`~repro.core.PaganiConfig` for this request.
 
         ``backend`` overrides the request's backend (the routed/shared
-        instance callers already resolved); ``chunk_budget`` overrides
-        the reference evaluate grain (the batch/service layers pass the
-        backend's preferred fused grain).
+        instance callers already resolved).
         """
         if backend is None:
             backend = self.backend if self.backend is not None else "numpy"
@@ -190,8 +187,6 @@ class IntegrationRequest:
             relerr_filtering=self.resolve_filtering(integrand),
             backend=backend,
         )
-        if chunk_budget is not None:
-            cfg.chunk_budget = chunk_budget
         if self.max_iterations is not None:
             cfg.max_iterations = self.max_iterations
         return cfg
@@ -413,7 +408,6 @@ def integrate_sweep(
     backend: BackendLike = None,
     relerr_filtering: Optional[bool] = None,
     max_iterations: Optional[int] = None,
-    chunk_budget: Optional[int] = None,
     request: Optional[IntegrationRequest] = None,
 ) -> List[Tuple[str, IntegrationResult]]:
     """Run a ``sweep:`` spec as one fused :func:`integrate_many` batch.
@@ -447,7 +441,7 @@ def integrate_sweep(
     results = integrate_many(
         integrands, rel_tol=rel_tol, abs_tol=abs_tol, backend=backend,
         relerr_filtering=relerr_filtering, max_iterations=max_iterations,
-        chunk_budget=chunk_budget, request=request,
+        request=request,
     )
     return list(zip(members, results))
 
@@ -503,7 +497,6 @@ def integrate_many(
     backend: BackendLike = None,
     relerr_filtering: Optional[bool] = None,
     max_iterations: Optional[int] = None,
-    chunk_budget: Optional[int] = None,
     device_spec: Optional[DeviceSpec] = None,
     collect_trace: bool = True,
     return_stats: bool = False,
@@ -543,19 +536,13 @@ def integrate_many(
         As in :func:`integrate`, applied to every member
         (``relerr_filtering=None`` reads each member's ``sign_definite``).
     backend:
-        The shared execution backend.  On ``"numpy"`` the members keep
-        the reference chunk decomposition and every result is
-        **bit-identical** to a sequential :func:`integrate` call.  The
-        ``"threaded"`` backend switches to the throughput-tuned fused
-        chunk grain (``FUSED_CHUNK_BUDGET``) and is therefore held to
-        machine-precision agreement rather than bit-identity.
-        ``"auto"`` routes the whole batch through the process-wide
-        :class:`~repro.backends.routing.BackendRouter` using the summed
-        first-sweep cost of all members.
-    chunk_budget:
-        Override the per-member chunk budget (floats per chunk).  Default:
-        the backend's ``preferred_batch_chunk_budget`` when it declares
-        one (threaded does), else the reference budget (numpy).
+        The shared execution backend.  Every member's result is
+        **bit-identical** to a sequential :func:`integrate` call on any
+        backend: parallel backends evaluate at their throughput-tuned
+        chunk grain (``preferred_batch_chunk_budget``), and the grain
+        never changes a bit.  ``"auto"`` routes the whole batch through
+        the process-wide :class:`~repro.backends.routing.BackendRouter`
+        using the summed first-sweep cost of all members.
     device_spec:
         Virtual-device spec for each member (memory-scaled V100 default —
         the same device a plain :func:`integrate` call builds).
@@ -591,14 +578,15 @@ def integrate_many(
     >>> [r.converged for r in results]
     [True, True]
 
-    On the numpy backend every member is bit-identical to a sequential
-    :func:`integrate` call; parallel backends (``"threaded"``,
-    ``"process"``, ``"process:<N>"``) trade that for throughput under
-    the machine-precision contract:
+    Every member is bit-identical to a sequential :func:`integrate`
+    call, on any backend:
 
     >>> from repro import integrate
     >>> seq = integrate(members[0], 3, rel_tol=1e-3)
     >>> results[0].estimate == seq.estimate
+    True
+    >>> threaded = integrate_many(members, rel_tol=1e-3, backend="threaded:2")
+    >>> threaded[0].estimate == seq.estimate
     True
     """
     from repro.batch import BatchMemberError, BatchScheduler
@@ -653,13 +641,14 @@ def integrate_many(
         ).backend
 
     bk = get_backend(backend)
-    budget = PaganiConfig.resolve_chunk_budget(bk, chunk_budget)
+    budget = PaganiConfig.resolve_chunk_budget(bk)
 
     scheduler = BatchScheduler(backend=bk)
     if n == 0:
         return ([], scheduler.stats) if return_stats else []
     for f, d, b in zip(integrands, ndims, member_bounds):
-        cfg = request.to_pagani_config(f, backend=bk, chunk_budget=budget)
+        cfg = request.to_pagani_config(f, backend=bk)
+        cfg.chunk_budget = budget
         device = VirtualDevice(device_spec) if device_spec else None
         integrator = PaganiIntegrator(cfg, device=device)
         scheduler.add(
@@ -688,7 +677,6 @@ def serve_jobs(
     backend: BackendLike = None,
     cache: bool = True,
     cache_entries: int = 256,
-    chunk_budget: Optional[int] = None,
     shards: int = 1,
     service=None,
 ):
@@ -705,12 +693,12 @@ def serve_jobs(
         :class:`~repro.service.JobSpec` instances — or dicts in the
         jobs-file shape (``{"integrand": "5D-f4", "rel_tol": 1e-4,
         "priority": 3, ...}``).
-    max_concurrent / backend / cache / cache_entries / chunk_budget / shards:
+    max_concurrent / backend / cache / cache_entries / shards:
         Forwarded to :class:`~repro.service.IntegrationService`
         (``shards=K`` serves the queue with ``K`` independent worker
         rotations, each pinned to its own backend instance;
         ``backend="auto"`` routes each admitted job to the cheapest
-        adequate backend and fingerprints record the *resolved* one).
+        adequate backend).
     service:
         Use an existing service instead of building one.  The caller
         keeps ownership: the service is *not* shut down and may hold
@@ -744,8 +732,7 @@ def serve_jobs(
     if own_service:
         service = IntegrationService(
             max_concurrent=max_concurrent, backend=backend, cache=cache,
-            cache_entries=cache_entries, chunk_budget=chunk_budget,
-            shards=shards,
+            cache_entries=cache_entries, shards=shards,
         )
     try:
         handles = service.submit_many(parsed)

@@ -23,8 +23,8 @@ Built-in backends
     multi-core scaling with no GIL in the way.  Workers receive picklable
     chunk specs (catalogue integrand spec or pickled callable, bounds
     slices), rebuild the rule tensors once per worker, and return result
-    arrays that the parent stitches in deterministic chunk order; on the
-    same chunk decomposition results are bit-identical to ``"numpy"``.
+    arrays that the parent stitches in deterministic chunk order; at any
+    chunk grain results are bit-identical to ``"numpy"``.
     Unshippable integrands (closures) degrade to in-process serial
     execution with unchanged numerics.  See :mod:`repro.backends.process`.
     On a host where process pools cannot run (a sandbox without

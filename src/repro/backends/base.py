@@ -63,9 +63,10 @@ class ArrayBackend(abc.ABC):
 
     #: chunk budget (floats per chunk) the batch layer should use when
     #: fusing many runs' sweeps onto this backend; ``None`` keeps each
-    #: run's reference budget (required for bit-identity with sequential
-    #: execution — see ``repro.batch``).  Parallel backends that benefit
-    #: from many small cache-sized chunks declare their tuned grain here.
+    #: run's reference budget.  Parallel backends that benefit from many
+    #: small cache-sized chunks declare their tuned grain here.  The
+    #: grain is a speed setting only: results are the same bits at any
+    #: grain (see ``repro.cubature.evaluation``).
     preferred_batch_chunk_budget: Optional[int] = None
 
     #: backends that execute chunks in *other processes* set this True;

@@ -21,8 +21,8 @@ once per process (both cached — ``named_integrand`` + ``get_rule`` /
 :func:`~repro.cubature.evaluation.compute_chunk` arithmetic the
 in-process path uses, and returns the chunk's ``(estimate, error,
 axis)`` arrays.  The parent stitches results in deterministic chunk
-order, so results are **bit-identical** to the NumPy reference on the
-same chunk decomposition — the conformance suite asserts it.
+order, so results are **bit-identical** to the NumPy reference at any
+chunk grain — the conformance suite asserts it.
 
 The IPC transport
 -----------------

@@ -17,7 +17,8 @@ instead of pinning one backend for all of them:
 3. **Dispatch.**  Cheapest predicted candidate wins: numpy for tiny
    jobs, ``process:N`` for big sweeps.  Adequacy is never in question
    (the candidates are bit-identical by the conformance contract); the
-   decision only moves *where* the same bits are computed.
+   decision only moves *where* the same bits are computed, so it never
+   enters cache identity.
 
 A decision is a pure function of the summed first-sweep evaluations,
 the context (plain or batch), the pool width and whether a process
@@ -25,9 +26,6 @@ pool is available.  Nothing is learned from earlier runs, so the same
 job on the same host always routes the same way, whatever ran before
 it.  A non-``auto`` override (per-job ``JobSpec.backend``, or an
 explicit spec anywhere a backend is accepted) bypasses the policy.
-
-Cache identity: callers fingerprint the **resolved** backend (its
-``.name`` and its resolved chunk budget), never the string ``"auto"``.
 """
 
 from __future__ import annotations
@@ -68,10 +66,10 @@ S_PER_MEVAL = {
 
 #: batched-throughput gain over batched numpy (the batch benchmark's
 #: batched-seconds ratios, frozen from one run on the same host) — the
-#: *chunk-grain* effect: numpy keeps the bit-identity reference
-#: decomposition (16M-float chunks) while process batches at its
-#: throughput-tuned grain, which wins even serially (cache locality),
-#: before any parallel speedup.
+#: *chunk-grain* effect: numpy keeps the reference decomposition
+#: (16M-float chunks) while process batches at its throughput-tuned
+#: grain, which wins even serially (cache locality), before any
+#: parallel speedup.
 BATCH_GAIN = {
     "numpy": 1.0,
     "process": 2.1497454304363384,

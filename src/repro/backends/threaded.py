@@ -40,8 +40,8 @@ class ThreadedNumpyBackend(NumpyBackend):
     #: per chunk keeps each chunk's working set cache-resident and gives
     #: the pool many independent work items per fused submission (the
     #: sequential default of 16M floats yields one chunk per sweep —
-    #: nothing to parallelise).  Trades bit-identity with the reference
-    #: decomposition for throughput; see docs/batch.md.
+    #: nothing to parallelise).  Results keep the same bits at any
+    #: grain; see docs/batch.md.
     preferred_batch_chunk_budget = 131_072
     concurrent_chunks = True
 

@@ -22,7 +22,6 @@ batched-vs-sequential numbers.
 """
 
 from repro.batch.scheduler import (
-    FUSED_CHUNK_BUDGET,
     BatchMemberError,
     BatchScheduler,
     BatchStats,
@@ -33,7 +32,6 @@ __all__ = [
     "BatchScheduler",
     "BatchStats",
     "BatchMemberError",
-    "FUSED_CHUNK_BUDGET",
     "RuleCache",
     "RULE_CACHE",
     "DeviceRule",

@@ -22,12 +22,10 @@ shared :class:`~repro.backends.base.ArrayBackend`:
 
 Numerics: a thunk only ever writes its own member's pre-allocated output
 slices, so fusing changes nothing — each member computes exactly the bits
-it would have computed alone on the same backend with the same chunk
-decomposition.  The chunk decomposition itself is each member's
-``chunk_budget``; :func:`repro.api.integrate_many` keeps the reference
-budget on the numpy backend (bit-identical to sequential ``integrate``)
-and switches parallel backends to a throughput-tuned grain (see
-:data:`FUSED_CHUNK_BUDGET`).
+it would have computed alone.  The chunk decomposition is each member's
+``chunk_budget``; :func:`repro.api.integrate_many` sets it to the
+backend's ``preferred_batch_chunk_budget``, a speed setting that never
+changes a bit (see :mod:`repro.cubature.evaluation`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.backends import BackendLike, ThreadedNumpyBackend, get_backend
+from repro.backends import BackendLike, get_backend
 from repro.core.pagani import PaganiRun
 from repro.core.result import IntegrationResult
 from repro.errors import ConfigurationError
@@ -65,16 +63,6 @@ class BatchMemberError(RuntimeError):
         )
         self.member = members[0]
         self.failures = dict(failures)
-
-
-#: The threaded backend's fused chunk grain (floats per chunk), re-exported
-#: for documentation and tests.  Two effects motivate a grain far below the
-#: sequential default of 16M: chunks sized to stay cache-resident make the
-#: memory-bound evaluate sweep measurably faster even on one core, and many
-#: small chunks give a thread pool enough independent work items to use
-#: every core once the members' thunks are fused.  Each backend declares
-#: its own policy via ``ArrayBackend.preferred_batch_chunk_budget``.
-FUSED_CHUNK_BUDGET = ThreadedNumpyBackend.preferred_batch_chunk_budget
 
 
 class _GuardedTask:

@@ -144,14 +144,10 @@ def main(argv: Optional[list] = None) -> int:
     batch.add_argument(
         "--backend", default="numpy",
         help="shared execution backend for the whole batch: one of "
-        f"{backend_spec_help()} (numpy keeps results bit-identical to "
-        "sequential runs; threaded/process fuse the members' evaluation "
-        "chunks for throughput; auto routes the batch by its summed "
-        "first-sweep cost)",
-    )
-    batch.add_argument(
-        "--chunk-budget", type=int, default=None,
-        help="override the per-member chunk budget (floats per chunk)",
+        f"{backend_spec_help()} (every backend gives results "
+        "bit-identical to sequential runs; threaded/process fuse the "
+        "members' evaluation chunks for throughput; auto routes the batch "
+        "by its summed first-sweep cost)",
     )
 
     serve = sub.add_parser(
@@ -357,7 +353,6 @@ def _run_batch(args) -> int:
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         backend=backend,
-        chunk_budget=args.chunk_budget,
         return_stats=True,
     )
     wall = time.perf_counter() - t0

@@ -90,7 +90,8 @@ class PaganiConfig:
     #: per-region finished test is e_i <= margin·τ_rel·|v_i|; the margin
     #: reserves part of the global budget for threshold commitments
     relerr_margin: float = 0.5
-    #: chunking budget for the evaluate sweep (floats per chunk)
+    #: chunking budget for the evaluate sweep (floats per chunk); a speed
+    #: and memory setting only — results are the same bits at any grain
     chunk_budget: int = 16_000_000
     #: execution backend for the hot path: a registered name
     #: ("numpy", "threaded[:<N>]", "process[:<N>]") or an
@@ -116,16 +117,13 @@ class PaganiConfig:
         return d
 
     @classmethod
-    def resolve_chunk_budget(cls, backend, override: Optional[int] = None) -> int:
-        """The effective evaluate-chunk grain for batched execution.
+    def resolve_chunk_budget(cls, backend) -> int:
+        """The evaluate-chunk grain for batched execution on ``backend``.
 
         One policy shared by :func:`repro.api.integrate_many` and the
-        service layer (the cache fingerprint hashes this value, so the
-        two must never diverge): an explicit override wins, else the
-        backend's preferred fused grain, else the reference budget.
+        service layer: the backend's preferred fused grain, else the
+        reference budget.  A speed setting only — it never changes bits.
         """
-        if override is not None:
-            return int(override)
         if backend.preferred_batch_chunk_budget is not None:
             return backend.preferred_batch_chunk_budget
         return cls.chunk_budget

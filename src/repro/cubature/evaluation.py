@@ -5,11 +5,13 @@ parallel sweep per iteration.  The sweep executes on a pluggable
 :class:`~repro.backends.base.ArrayBackend` (NumPy by default): points for
 a chunk of regions are materialised as one ``(chunk, p, n)`` tensor, the
 integrand is applied to the flattened point list, and the five weighted
-reductions plus the fourth-difference axis scan are computed with matrix
-products and fancy-indexed gathers.  Chunking bounds peak memory (the
-guides' "be easy on memory" rule) without changing results, and doubles
-as the parallel decomposition: each chunk is an independent thunk the
-backend may schedule on a thread pool or a device stream.
+reductions plus the fourth-difference axis scan are computed with
+fixed-order ``einsum`` contractions and fancy-indexed gathers.  Chunking
+bounds peak memory (the guides' "be easy on memory" rule) and doubles as
+the parallel decomposition: each chunk is an independent thunk the
+backend may schedule on a thread pool or a device stream.  Every
+reduction runs along one region's row in a fixed order, so neither the
+chunk grain nor the backend nor the BLAS thread count changes a bit.
 
 Returned per region:
 
@@ -21,10 +23,8 @@ Returned per region:
 Callers may pass a :class:`SweepScratch` to keep steady-state iterations
 allocation-free: the chunk temporaries (the point tensor, volumes,
 companion estimates, fourth-difference work arrays) are reused across
-chunks and iterations instead of reallocated — engaged only on backends
-that run chunks serially over host NumPy arrays, and written with
-``out=`` ufunc forms that are bit-identical to the allocating
-expressions.
+chunks and iterations instead of reallocated — shared across chunks only
+on backends that run them serially.
 """
 
 from __future__ import annotations
@@ -111,14 +111,13 @@ class SweepScratch:
     """Reusable per-run scratch for the evaluate sweep's chunk temporaries.
 
     Owns the point tensor, volume vector, companion-estimate vectors and
-    fourth-difference work arrays that :func:`compute_chunk` would
-    otherwise allocate afresh per chunk, so steady-state iterations
+    fourth-difference work arrays that :func:`compute_chunk` writes, so
+    reusing one scratch across chunks makes steady-state iterations
     allocate O(1) new arrays.  Buffers are keyed by role and grow
     monotonically along axis 0 (the chunk length); a chunk borrows
     leading-row views, so a scratch serves exactly **one chunk at a
-    time** — :func:`evaluate_regions` only engages it on backends that
-    run chunks serially (``concurrent_chunks`` False) over host NumPy
-    arrays.
+    time** — :func:`evaluate_regions` only shares it across chunks on
+    backends that run them serially (``concurrent_chunks`` False).
     """
 
     __slots__ = ("_bufs",)
@@ -164,43 +163,34 @@ def compute_chunk(
     ``bk``'s array type; ``dr`` is the matching
     :class:`~repro.cubature.rules.DeviceRule`.
 
-    With a ``scratch``, every temporary is written into a reusable buffer
-    through ``out=`` ufunc forms chosen to be **bit-identical** to the
-    allocating expressions (commutative operand reorders and explicit
-    two-step chains only — never a different reduction order), so the two
-    modes produce the same bits and the golden/bit-identity suites hold
-    for both.
+    Every temporary is written into a ``scratch`` buffer through ``out=``
+    ufunc forms, and every reduction runs along one region's row in a
+    fixed order, so a region's bits do not depend on which other regions
+    share its chunk.  Callers without a reusable scratch get a fresh one;
+    the returned arrays are views into it, valid until its next use.
     """
+    if scratch is None:
+        scratch = SweepScratch()
     mc, n = c.shape
     p = dr.points.shape[0]
     need_companions = error_model in ("four_difference", "cascade")
 
-    if scratch is None:
-        # (mc, p, n) = c + ref * h  (broadcast over the point axis)
-        pts = c[:, None, :] + dr.points[None, :, :] * h[:, None, :]
-    else:
-        # Same arithmetic around the reusable buffer: (ref * h) + c —
-        # float addition is commutative bit-for-bit.
-        pts = scratch.take("pts", (mc, p, n))
-        np.multiply(dr.points[None, :, :], h[:, None, :], out=pts)
-        np.add(pts, c[:, None, :], out=pts)
+    # (mc, p, n) = ref * h + c  (broadcast over the point axis)
+    pts = scratch.take("pts", (mc, p, n))
+    np.multiply(dr.points[None, :, :], h[:, None, :], out=pts)
+    np.add(pts, c[:, None, :], out=pts)
     vals = bk.map_integrand(integrand, pts.reshape(-1, n))
     vals = vals.reshape(mc, p)
-    if scratch is None:
-        vol = np.prod(2.0 * h, axis=1)  # (mc,)
-    else:
-        h2 = scratch.take("h2", (mc, n))
-        np.multiply(2.0, h, out=h2)
-        vol = scratch.take("vol", (mc,))
-        np.prod(h2, axis=1, out=vol)
+    h2 = scratch.take("h2", (mc, n))
+    np.multiply(2.0, h, out=h2)
+    vol = scratch.take("vol", (mc,))
+    np.prod(h2, axis=1, out=vol)
 
     def contract(w: np.ndarray, name: str):
-        # vol * (vals @ w), optionally into a scratch vector.  einsum, not
-        # BLAS: a threaded gemv splits the rows across threads and the
-        # split changes which rows take the kernel's remainder path, so
-        # ``vals @ w`` bits depend on the BLAS thread count.
-        if scratch is None:
-            return vol * np.einsum("ij,j->i", vals, w)
+        # vol * (vals @ w).  einsum, not BLAS: a threaded gemv splits the
+        # rows across threads and the split changes which rows take the
+        # kernel's remainder path, so ``vals @ w`` bits depend on the
+        # BLAS thread count.
         out = scratch.take(name, (mc,))
         np.einsum("ij,j->i", vals, w, out=out)
         np.multiply(vol, out, out=out)
@@ -213,8 +203,6 @@ def compute_chunk(
         i3b = contract(dr.w3b, "i3b")
         i1 = contract(dr.w1, "i1")
         err = _error_from_estimates(i7, i5, i3a, i3b, i1, error_model)
-    elif scratch is None:
-        err = np.abs(i7 - i5)
     else:
         err = scratch.take("err", (mc,))
         np.subtract(i7, i5, out=err)
@@ -224,30 +212,24 @@ def compute_chunk(
     #   D_i = |(f(+λ2 e_i) + f(−λ2 e_i) − 2 f(0))
     #          − (λ2²/λ3²) (f(+λ3 e_i) + f(−λ3 e_i) − 2 f(0))|
     f0 = vals[:, 0][:, None]  # (mc, 1)
-    if scratch is None:
-        d2 = vals[:, dr.idx2_plus] + vals[:, dr.idx2_minus] - 2.0 * f0
-        d3 = vals[:, dr.idx3_plus] + vals[:, dr.idx3_minus] - 2.0 * f0
-        fourth = np.abs(d2 - FOURTH_DIFF_RATIO * d3)  # (mc, n)
-        axis = np.argmax(fourth, axis=1)
-    else:
-        f02 = scratch.take("f02", (mc, 1))
-        np.multiply(2.0, f0, out=f02)
-        d2 = scratch.take("d2", (mc, n))
-        d3 = scratch.take("d3", (mc, n))
-        tmp = scratch.take("dtmp", (mc, n))
-        np.take(vals, dr.idx2_plus, axis=1, out=d2)
-        np.take(vals, dr.idx2_minus, axis=1, out=tmp)
-        np.add(d2, tmp, out=d2)
-        np.subtract(d2, f02, out=d2)
-        np.take(vals, dr.idx3_plus, axis=1, out=d3)
-        np.take(vals, dr.idx3_minus, axis=1, out=tmp)
-        np.add(d3, tmp, out=d3)
-        np.subtract(d3, f02, out=d3)
-        np.multiply(FOURTH_DIFF_RATIO, d3, out=d3)
-        np.subtract(d2, d3, out=d2)
-        np.abs(d2, out=d2)  # d2 is now the fourth-difference magnitude
-        axis = scratch.take("axis", (mc,), dtype=np.intp)
-        np.argmax(d2, axis=1, out=axis)
+    f02 = scratch.take("f02", (mc, 1))
+    np.multiply(2.0, f0, out=f02)
+    d2 = scratch.take("d2", (mc, n))
+    d3 = scratch.take("d3", (mc, n))
+    tmp = scratch.take("dtmp", (mc, n))
+    np.take(vals, dr.idx2_plus, axis=1, out=d2)
+    np.take(vals, dr.idx2_minus, axis=1, out=tmp)
+    np.add(d2, tmp, out=d2)
+    np.subtract(d2, f02, out=d2)
+    np.take(vals, dr.idx3_plus, axis=1, out=d3)
+    np.take(vals, dr.idx3_minus, axis=1, out=tmp)
+    np.add(d3, tmp, out=d3)
+    np.subtract(d3, f02, out=d3)
+    np.multiply(FOURTH_DIFF_RATIO, d3, out=d3)
+    np.subtract(d2, d3, out=d2)
+    np.abs(d2, out=d2)  # d2 is now the fourth-difference magnitude
+    axis = scratch.take("axis", (mc,), dtype=np.intp)
+    np.argmax(d2, axis=1, out=axis)
     return i7, err, axis
 
 
@@ -379,20 +361,16 @@ def evaluate_regions(
         See :func:`_error_from_estimates`.
     chunk_budget:
         Max floats materialised per chunk; tunes peak memory, and sets the
-        grain of the backend's chunk-level parallelism.
+        grain of the backend's chunk-level parallelism.  A speed setting
+        only: every region gets the same bits at any grain.
     backend:
-        Execution backend spec (``None`` = reference NumPy).  The chunk
-        decomposition is backend-independent, and each chunk's arithmetic
-        is identical across host backends, so results do not depend on
-        the backend's schedule.  (The *size* of the chunks can shift
-        results at ULP level through BLAS kernel selection, so callers
-        that promise bit-identical output must keep ``chunk_budget``
-        fixed.)
+        Execution backend spec (``None`` = reference NumPy).  Each chunk's
+        arithmetic is identical across host backends, so results do not
+        depend on the backend or its schedule.
     scratch:
         Optional :class:`SweepScratch` reusing the chunk temporaries
-        across chunks and calls (see :func:`compute_chunk`; bit-identical
-        to the allocating path).  Silently disengaged on backends that
-        run chunks concurrently or on non-NumPy array types, so callers
+        across chunks and calls (see :func:`compute_chunk`).  Silently
+        disengaged on backends that run chunks concurrently, so callers
         may pass their scratch unconditionally.
     defer:
         When True, do **not** execute the sweep: return
@@ -431,8 +409,8 @@ def evaluate_regions(
     # the point set and weights a single time instead of per sweep.
     dr = RULE_CACHE.device_rule(rule, bk)
 
-    # A scratch serves one chunk at a time over host NumPy arrays only.
-    if scratch is not None and (bk.concurrent_chunks or bk.xp is not np):
+    # A scratch serves one chunk at a time.
+    if bk.concurrent_chunks:
         scratch = None
 
     # Process backends execute chunks in worker processes when the

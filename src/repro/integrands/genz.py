@@ -17,6 +17,9 @@ Family catalogue (all on [0,1]^d):
 ``c0``                exp(−Σ a_i |x_i − u_i|)
 ``discontinuous``     exp(Σ a_i x_i) if x₁ ≤ u₁ and x₂ ≤ u₂, else 0
 ====================  ====================================================
+
+The ``Σ a_i x_i`` sums are fixed-order einsums rather than BLAS ``x @ a``,
+for the reason given in :mod:`repro.integrands.paper`.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def make_genz(
         phase = 2.0 * math.pi * u[0]
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.cos(phase + x @ a)
+            return np.cos(phase + np.einsum("ij,j->i", x, a))
 
         ref = _osc_reference(a, phase)
         sign_definite = False
@@ -134,7 +137,7 @@ def make_genz(
         power = -(ndim + 1.0)
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.power(1.0 + x @ a, power)
+            return np.power(1.0 + np.einsum("ij,j->i", x, a), power)
 
         ref = _corner_reference(a)
         sign_definite = True
@@ -178,7 +181,7 @@ def make_genz(
             inside = (x[:, 0] <= u[0]) & (x[:, 1] <= u[1]) if ndim >= 2 else x[:, 0] <= u[0]
             out = np.zeros(x.shape[0])
             if np.any(inside):
-                out[inside] = np.exp(x[inside] @ a)
+                out[inside] = np.exp(np.einsum("ij,j->i", x[inside], a))
             return out
 
         ref = 1.0

@@ -8,6 +8,12 @@ the semi-analytic convolution pipeline of :mod:`repro.reference.boxint`.
 The paper evaluates f1, f3, f4, f5, f7, f8 in eight dimensions, f4 also in
 five, f6 in six and f3 also in three — the factories below take ``ndim``
 where the paper varies it.
+
+Inner products ``Σ c_i x_i`` are ``np.einsum("ij,j->i", ...)``, not BLAS
+``x @ c``: a BLAS kernel picks its summation order from the row count and
+the thread count, so one point's value would depend on how many regions
+shared its chunk.  The einsum sums each row in a fixed order, so a point
+gets the same bits whatever the chunk grain, backend or BLAS threads.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def f1_oscillatory(ndim: int = 8) -> Integrand:
     coeffs = np.arange(1.0, ndim + 1.0)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.cos(x @ coeffs)
+        return np.cos(np.einsum("ij,j->i", x, coeffs))
 
     return Integrand(
         fn=fn,
@@ -105,7 +111,7 @@ def f3_corner_peak(ndim: int = 8) -> Integrand:
     power = -(ndim + 1.0)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.power(1.0 + x @ coeffs, power)
+        return np.power(1.0 + np.einsum("ij,j->i", x, coeffs), power)
 
     return Integrand(
         fn=fn,
@@ -174,7 +180,7 @@ def f6_discontinuous(ndim: int = 6) -> Integrand:
         inside = np.all(x < cuts[None, :], axis=1)
         out = np.zeros(x.shape[0])
         if np.any(inside):
-            out[inside] = np.exp(x[inside] @ rates)
+            out[inside] = np.exp(np.einsum("ij,j->i", x[inside], rates))
         return out
 
     return Integrand(

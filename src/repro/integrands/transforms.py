@@ -169,7 +169,9 @@ def gaussian_measure(
 
     def fn(u: np.ndarray) -> np.ndarray:
         z = ndtri(np.clip(u, _EPS, 1.0 - _EPS))
-        return base.fn(mu[None, :] + z @ L.T)
+        # z Lᵀ as a fixed-order einsum: a BLAS gemm's bits would depend
+        # on the chunk's row count and the BLAS thread count.
+        return base.fn(mu[None, :] + np.einsum("ij,kj->ik", z, L))
 
     # only diagonal covariances are expressible in the spec grammar
     spec_params: Optional[Dict[str, ParamLike]] = {"mean": mu}

@@ -2,13 +2,16 @@
 
 The **fingerprint contract**: two jobs share a fingerprint iff they are
 the *same computation* — same integrand identity, same domain, same
-tolerances, same iteration cap, same filtering flag, and a backend/chunk
-decomposition that produces the same bits.  Every float enters the hash
-as ``float.hex()`` (exact — no decimal rounding can alias two different
-tolerances), bounds enter per-component, and the integrand enters by its
-canonical catalogue spec (or a callable's explicit ``cache_key``).
-Anything outside the fingerprint (priority, label) is scheduling
-metadata and must never change the numbers, so it is excluded.
+tolerances, same iteration cap, same filtering flag.  Every float
+enters the hash as ``float.hex()`` (exact — no decimal rounding can
+alias two different tolerances), bounds enter per-component, and the
+integrand enters by its canonical catalogue spec (or a callable's
+explicit ``cache_key``).  Anything outside the fingerprint (priority,
+label, backend, chunk grain) is scheduling metadata and must never
+change the numbers, so it is excluded.  The backend and the chunk grain
+qualify because every host backend computes the same bits at any grain
+(see :mod:`repro.cubature.evaluation`): an entry ``numpy`` wrote serves
+a job routed to ``process:2``.
 
 Because the PAGANI run is deterministic for a fixed fingerprint, a cache
 hit may *replay* the stored :class:`~repro.core.result.IntegrationResult`
@@ -35,7 +38,7 @@ from repro.core.result import IntegrationResult
 
 #: bump when the fingerprint payload layout changes, so stale
 #: disk-serialised fingerprints (if anyone persists them) cannot collide
-FINGERPRINT_SCHEMA = 1
+FINGERPRINT_SCHEMA = 2
 
 
 def job_fingerprint(
@@ -44,8 +47,6 @@ def job_fingerprint(
     bounds: np.ndarray,
     rel_tol: float,
     abs_tol: float,
-    backend: str,
-    chunk_budget: int,
     max_iterations: Optional[int],
     relerr_filtering: bool,
     collect_traces: bool = False,
@@ -69,8 +70,6 @@ def job_fingerprint(
         ],
         "rel_tol": float(rel_tol).hex(),
         "abs_tol": float(abs_tol).hex(),
-        "backend": backend,
-        "chunk_budget": int(chunk_budget),
         "max_iterations": None if max_iterations is None else int(max_iterations),
         "relerr_filtering": bool(relerr_filtering),
         # Traces do not change the numbers, but a replayed result must

@@ -73,8 +73,9 @@ class JobSpec:
     ``"numpy"`` or ``"process:4"`` pins this job regardless of the
     service's backend (the escape hatch of the ``auto`` routing policy),
     ``"auto"`` asks for routing explicitly, ``None`` (default) defers to
-    the service.  The cache fingerprint records the backend the job
-    actually ran on, so overrides cannot alias cache entries.
+    the service.  The backend does not enter the cache fingerprint:
+    every backend computes the same bits, so an override may replay an
+    entry another backend wrote.
 
     ``escalation`` is the per-job baseline-escalation override: ``None``
     (default) inherits the service's policy, ``"off"``/``False``

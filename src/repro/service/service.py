@@ -25,9 +25,10 @@ own execution-backend instance, all pulling from one shared
   shared cache, and resolve their handle (and any coalesced followers).
 
 Sharding (``shards=K``) multiplies the rotations, not the semantics:
-every shard resolves the *same* backend spec, so fingerprints — which
-hash the backend name and chunk grain — are shard-independent and cache
-hits stay bit-for-bit regardless of which shard computed the entry.
+fingerprints name the computation, never the backend or chunk grain
+that ran it (every host backend computes the same bits at any grain),
+so cache hits stay bit-for-bit regardless of which shard or backend
+computed the entry.
 Pair ``shards=K`` with a per-shard parallel backend (``"process"``)
 only when the host has cores to spare; on a small host prefer one shard
 with one wide pool.
@@ -194,10 +195,12 @@ class IntegrationService:
         by a :class:`~repro.backends.routing.BackendRouter` (a fixed
         cost model over the job's first-sweep evaluations, the pool
         width and pool availability — no feedback from earlier jobs, so
-        the same job always routes, and fingerprints, the same way) and
-        runs on the cheapest adequate backend; its fingerprint records
-        the backend it actually ran on.  A job's own ``JobSpec.backend``
-        always wins over both the pinned spec and the router.
+        the same job always routes the same way) and runs on the
+        cheapest adequate backend.  The backend never enters the cache
+        fingerprint: every backend computes the same bits, so a job
+        routed to ``process:2`` replays an entry ``numpy`` wrote.  A
+        job's own ``JobSpec.backend`` always wins over both the pinned
+        spec and the router.
     shards:
         Number of worker rotations (default 1 — the pre-sharding
         behaviour, byte for byte).  Each shard owns one
@@ -209,11 +212,6 @@ class IntegrationService:
         :class:`ResultCache` instance is shared (e.g. across services).
     cache_entries:
         LRU capacity when ``cache=True``.
-    chunk_budget:
-        Per-run evaluate-chunk grain.  Default: the backend's
-        ``preferred_batch_chunk_budget`` when it declares one, else the
-        reference budget — on the numpy backend service results are
-        bit-identical to plain :func:`repro.api.integrate` calls.
     collect_traces:
         Keep per-iteration traces on results (off by default: a serving
         system should not grow unbounded trace lists into its cache).
@@ -253,7 +251,6 @@ class IntegrationService:
         backend: BackendLike = None,
         cache: Union[bool, ResultCache] = True,
         cache_entries: int = 256,
-        chunk_budget: Optional[int] = None,
         collect_traces: bool = False,
         history_limit: Optional[int] = None,
         shards: int = 1,
@@ -268,15 +265,13 @@ class IntegrationService:
             raise ConfigurationError("history_limit must be >= 0 or None")
         self.history_limit = history_limit
         self.max_concurrent = int(max_concurrent)
-        self._chunk_budget_override = chunk_budget
         self._router = None
         if isinstance(backend, str) and backend == "auto":
             from repro.backends.routing import BackendRouter
 
             self._router = BackendRouter()
-            # Routed shards still need a default instance: it anchors
-            # the reference chunk budget and serves as the fallback when
-            # a routed spec fails to build.  numpy is always adequate.
+            # Routed shards still need a default instance: jobs routed
+            # to numpy reuse it.  numpy is always adequate.
             backend = "numpy"
         if shards == 1 or isinstance(backend, ArrayBackend):
             # One shard keeps the classic shared-instance resolution; an
@@ -295,9 +290,6 @@ class IntegrationService:
             self.cache = ResultCache(max_entries=cache_entries)
         else:
             self.cache = None
-        self.chunk_budget = PaganiConfig.resolve_chunk_budget(
-            self.backend, chunk_budget
-        )
         self.collect_traces = collect_traces
 
         self._queue = JobQueue()
@@ -599,8 +591,8 @@ class IntegrationService:
 
     def _job_backend(
         self, shard: _Shard, spec: JobSpec, resolved: ResolvedJob
-    ) -> Tuple[ArrayBackend, int]:
-        """The backend instance + chunk grain this job runs on.
+    ) -> ArrayBackend:
+        """The backend instance this job runs on.
 
         Per-job ``spec.backend`` overrides always win; an ``auto``
         service routes the rest; a pinned service runs them on the
@@ -619,7 +611,7 @@ class IntegrationService:
             # the service is the routing decision.
             target = override
         if target is None:
-            return shard.backend, self.chunk_budget
+            return shard.backend
         backend = shard.extras.get(target)
         if backend is None:
             if target == shard.backend.name:
@@ -627,10 +619,7 @@ class IntegrationService:
             else:
                 backend = new_backend(target)
             shard.extras[target] = backend
-        budget = PaganiConfig.resolve_chunk_budget(
-            backend, self._chunk_budget_override
-        )
-        return backend, budget
+        return backend
 
     def _admit(self, shard: _Shard) -> None:
         """Fill the shard's free rotation slots (cache/coalesce first)."""
@@ -643,9 +632,7 @@ class IntegrationService:
             spec = handle.spec
             try:
                 resolved = spec.resolve()
-                run_backend, chunk_budget = self._job_backend(
-                    shard, spec, resolved
-                )
+                run_backend = self._job_backend(shard, spec, resolved)
                 policy = self._job_policy(spec)
             except Exception as exc:
                 self._finish(handle, JobStatus.FAILED, exception=exc)
@@ -653,19 +640,15 @@ class IntegrationService:
 
             fingerprint = None
             if self.cache is not None and resolved.cache_id is not None:
-                # The *resolved* backend (and its grain) is hashed, never
-                # the "auto" policy: cache identity must describe the
-                # bits, and two routers may decide differently.  The
-                # effective escalation descriptor is hashed for the same
-                # reason: an armed ladder can change the numbers.
+                # The effective escalation descriptor is hashed because an
+                # armed ladder can change the numbers; the backend is not,
+                # because it cannot.
                 fingerprint = job_fingerprint(
                     integrand_id=resolved.cache_id,
                     ndim=resolved.ndim,
                     bounds=resolved.bounds,
                     rel_tol=spec.rel_tol,
                     abs_tol=spec.abs_tol,
-                    backend=run_backend.name,
-                    chunk_budget=chunk_budget,
                     max_iterations=spec.max_iterations,
                     relerr_filtering=resolved.relerr_filtering,
                     collect_traces=self.collect_traces,
@@ -705,8 +688,9 @@ class IntegrationService:
             # in IntegrationRequest, so service runs and API runs build
             # their PaganiConfig through the same code path.
             cfg = spec.to_request().to_pagani_config(
-                resolved.fn, backend=run_backend, chunk_budget=chunk_budget
+                resolved.fn, backend=run_backend
             )
+            cfg.chunk_budget = PaganiConfig.resolve_chunk_budget(run_backend)
             if policy is not None and spec.max_iterations is None:
                 # the stall watchdog: bound the PAGANI attempt so a
                 # non-converging run reaches the ladder promptly

@@ -1,10 +1,10 @@
-"""SweepScratch: bit-identity of the buffered chunk path and the O(1)
+"""SweepScratch: bit-identity of a reused scratch and the O(1)
 steady-state allocation contract of the PAGANI loop.
 
-The scratch path rewrites every chunk temporary through ``out=`` ufunc
-forms; its entire correctness claim is **bit identity** with the
-allocating expressions (the golden and conformance suites depend on it).
-The allocation-regression test pins the tentpole's point: once a run
+``compute_chunk`` writes every chunk temporary into a scratch through
+``out=`` ufunc forms; a scratch reused across chunks of different sizes
+(re-sliced leading-row views) must give the same bits as a fresh one.
+The allocation-regression test pins the point of reuse: once a run
 reaches steady state, an iteration performs no large array allocations —
 the store's SoA buffers, the run's scratch and the rule tensors are all
 reused in place.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,6 @@ def fp(**overrides):
         bounds=np.array([(0.0, 1.0)] * 5),
         rel_tol=1e-4,
         abs_tol=1e-20,
-        backend="numpy",
-        chunk_budget=16_000_000,
         max_iterations=None,
         relerr_filtering=True,
     )
@@ -44,8 +44,8 @@ def test_fingerprint_is_deterministic():
         {"bounds": np.array([(0.0, 2.0)] + [(0.0, 1.0)] * 4)},
         {"rel_tol": 1e-5},
         {"abs_tol": 1e-19},
-        {"backend": "threaded"},
-        {"chunk_budget": 1_000_000},
+        {"bounds": np.array([(-1.0, 1.0)] + [(0.0, 1.0)] * 4)},
+        {"escalation": "two_phase>vegas>qmc;watchdog=8"},
         {"max_iterations": 10},
         {"relerr_filtering": False},
         {"collect_traces": True},
@@ -53,6 +53,14 @@ def test_fingerprint_is_deterministic():
 )
 def test_fingerprint_sensitive_to_every_field(change):
     assert fp(**change) != fp()
+
+
+def test_fingerprint_names_no_backend_or_chunk_grain():
+    """Every backend computes the same bits at any chunk grain, so
+    neither is part of cache identity."""
+    assert not {"backend", "chunk_budget"} & set(
+        inspect.signature(job_fingerprint).parameters
+    )
 
 
 def test_fingerprint_exact_not_decimal():

@@ -335,7 +335,6 @@ def test_fingerprint_is_store_key(tmp_path):
     expected = job_fingerprint(
         integrand_id=canonical_spec("3D-f4"), ndim=3,
         bounds=[(0.0, 1.0)] * 3, rel_tol=1e-3, abs_tol=1e-20,
-        backend="numpy", chunk_budget=svc.chunk_budget,
         max_iterations=None, relerr_filtering=True, collect_traces=False,
     )
     assert fp == expected

@@ -22,15 +22,15 @@ from repro.service import JobSpec, job_fingerprint
 
 #: the cache suite's corpus (see test_cache.py): one base job plus every
 #: single-field sensitivity variation, kept structurally consistent
-#: (ndim variations swap in the matching catalogue integrand)
+#: (ndim variations swap in the matching catalogue integrand).  The
+#: ``backend`` entries go into the request only: a backend never moves
+#: the fingerprint.
 BASE = dict(
     integrand_id="5d-f4",
     ndim=5,
     bounds=np.array([(0.0, 1.0)] * 5),
     rel_tol=1e-4,
     abs_tol=1e-20,
-    backend="numpy",
-    chunk_budget=16_000_000,
     max_iterations=None,
     relerr_filtering=True,
 )
@@ -43,16 +43,17 @@ CORPUS = [
     {"rel_tol": 1e-5},
     {"abs_tol": 1e-19},
     {"backend": "threaded"},
-    {"chunk_budget": 1_000_000},
+    {"backend": "auto"},
     {"max_iterations": 10},
     {"relerr_filtering": False},
     {"collect_traces": True},
 ]
 
-#: the base corpus digest at the time the IntegrationRequest surface
-#: landed — byte stability means this never changes without a schema bump
+#: the base corpus digest at fingerprint schema 2 (backend and chunk
+#: grain left the payload) — byte stability means this never changes
+#: without a schema bump
 PINNED_BASE_FINGERPRINT = (
-    "90174dbfecb4d4cb9eb215db9c723bb932fd52492a66b95478be4cd7752ae1ca"
+    "83d03148d5a9000f20fe2845be30908e9871623dbabcce4b40806ed622c0dbba"
 )
 
 
@@ -66,13 +67,14 @@ def test_request_roundtrip_reproduces_corpus_fingerprints(change):
     job = dict(BASE)
     job.update(change)
     collect_traces = job.pop("collect_traces", False)
+    backend = job.pop("backend", "numpy")
     direct = job_fingerprint(**job, collect_traces=collect_traces)
 
     request = IntegrationRequest(
         bounds=job["bounds"],
         rel_tol=job["rel_tol"],
         abs_tol=job["abs_tol"],
-        backend=job["backend"],
+        backend=backend,
         max_iterations=job["max_iterations"],
         relerr_filtering=job["relerr_filtering"],
     )
@@ -87,8 +89,6 @@ def test_request_roundtrip_reproduces_corpus_fingerprints(change):
         bounds=resolved.bounds,
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol,
-        backend=get_backend(spec.backend).name,
-        chunk_budget=job["chunk_budget"],
         max_iterations=spec.max_iterations,
         relerr_filtering=resolved.relerr_filtering,
         collect_traces=collect_traces,

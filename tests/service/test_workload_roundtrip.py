@@ -4,7 +4,8 @@ The acceptance round-trip for the opened workload space: one
 ``semi_infinite(...)`` spec must produce the exact bits of a cold
 in-process numpy run when (a) shipped to worker processes by name,
 (b) submitted over HTTP with ``backend="auto"``, and (c) replayed from
-the durable tiered cache after a server restart.
+the durable tiered cache after a server restart — also to a request
+pinned to a different backend than the one that wrote the entry.
 """
 
 import json
@@ -102,6 +103,34 @@ def test_transform_job_http_auto_restart_replay(tmp_path):
         assert code == 202, body
         status = _wait_done(server.url, body["job_id"])
         assert status["cache_hit"] is True
+        code, res = _request(
+            "GET", f"{server.url}/v1/jobs/{body['job_id']}/result"
+        )
+        assert code == 200
+        _assert_bits(res["result_hex"], cold)
+
+
+def test_numpy_entry_replays_to_a_process_request(tmp_path):
+    """Cache identity names no backend: every backend computes the same
+    bits, so a durable entry a numpy server wrote serves a request
+    pinned to ``process:2`` after a restart, without a fresh run."""
+    cold = _cold_hex()
+    job = {"integrand": SPEC, "rel_tol": REL_TOL}
+
+    with _server(cache_dir=tmp_path / "cache", backend="numpy") as server:
+        code, body = _request("POST", server.url + "/v1/jobs", job)
+        assert code == 202, body
+        first = _wait_done(server.url, body["job_id"])
+        assert first["cache_hit"] is False
+
+    pinned = dict(job, backend="process:2")
+    with _server(cache_dir=tmp_path / "cache", backend="numpy") as server:
+        code, body = _request("POST", server.url + "/v1/jobs", pinned)
+        assert code == 202, body
+        status = _wait_done(server.url, body["job_id"])
+        assert status["cache_hit"] is True
+        assert status["fingerprint"] == first["fingerprint"]
+        assert server.service.stats()["rounds"] == 0  # no fresh run
         code, res = _request(
             "GET", f"{server.url}/v1/jobs/{body['job_id']}/result"
         )
