@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc as _scipy_qmc
 
 
 def first_primes(k: int) -> np.ndarray:
@@ -115,7 +114,9 @@ class SobolSequence:
         if ndim < 1:
             raise ValueError("ndim must be >= 1")
         self.ndim = ndim
-        self._engine = _scipy_qmc.Sobol(d=ndim, scramble=seed is not None, seed=seed)
+        from scipy.stats import qmc  # lazy: scipy.stats is slow to import
+
+        self._engine = qmc.Sobol(d=ndim, scramble=seed is not None, seed=seed)
 
     def random(self, n: int) -> np.ndarray:
         return self._engine.random(n)

@@ -2,16 +2,19 @@
 
 PAGANI's defining trait is that *all* live regions are evaluated in one
 parallel sweep per iteration.  The sweep executes on a pluggable
-:class:`~repro.backends.base.ArrayBackend` (NumPy by default): points for
-a chunk of regions are materialised as one ``(chunk, p, n)`` tensor, the
-integrand is applied to the flattened point list, and the five weighted
-reductions plus the fourth-difference axis scan are computed with
-fixed-order ``einsum`` contractions and fancy-indexed gathers.  Chunking
-bounds peak memory (the guides' "be easy on memory" rule) and doubles as
-the parallel decomposition: each chunk is an independent thunk the
-backend may schedule on a thread pool or a device stream.  Every
-reduction runs along one region's row in a fixed order, so neither the
-chunk grain nor the backend nor the BLAS thread count changes a bit.
+:class:`~repro.backends.base.ArrayBackend` (NumPy by default) and is
+dimension-major: points for a chunk of regions are materialised in one
+``(n, p, chunk)`` buffer, so each coordinate is a contiguous row and the
+integrand receives the F-contiguous ``(p * chunk, n)`` transpose.  The
+values come back as ``(p, chunk)``; the five rule estimates are one
+stacked accumulation over the points in ascending order, and the
+fourth-difference axis scan uses contiguous row gathers.  Chunking bounds
+peak memory (the guides' "be easy on memory" rule) and doubles as the
+parallel decomposition: each chunk is an independent thunk the backend
+may schedule on a thread pool or a device stream.  No reduction goes
+through BLAS or ``einsum``, whose summation order follows the operand
+shapes; every one runs in a fixed order per region, so neither the chunk
+grain nor the backend nor the BLAS thread count changes a bit.
 
 Returned per region:
 
@@ -21,8 +24,8 @@ Returned per region:
 * companion-rule estimates when the ``four_difference`` error model is on.
 
 Callers may pass a :class:`SweepScratch` to keep steady-state iterations
-allocation-free: the chunk temporaries (the point tensor, volumes,
-companion estimates, fourth-difference work arrays) are reused across
+allocation-free: the chunk temporaries (the point buffer, volumes,
+stacked estimates, fourth-difference work arrays) are reused across
 chunks and iterations instead of reallocated — shared across chunks only
 on backends that run them serially.
 """
@@ -110,14 +113,15 @@ def _error_from_estimates(
 class SweepScratch:
     """Reusable per-run scratch for the evaluate sweep's chunk temporaries.
 
-    Owns the point tensor, volume vector, companion-estimate vectors and
+    Owns the point buffer, volume vector, stacked rule estimates and
     fourth-difference work arrays that :func:`compute_chunk` writes, so
     reusing one scratch across chunks makes steady-state iterations
-    allocate O(1) new arrays.  Buffers are keyed by role and grow
-    monotonically along axis 0 (the chunk length); a chunk borrows
-    leading-row views, so a scratch serves exactly **one chunk at a
-    time** — :func:`evaluate_regions` only shares it across chunks on
-    backends that run them serially (``concurrent_chunks`` False).
+    allocate O(1) new arrays.  Buffers are flat, keyed by role, and grow
+    monotonically in size; a chunk borrows a C-contiguous view of the
+    leading elements reshaped to its own shape (the region axis is the
+    last one), so a scratch serves exactly **one chunk at a time** —
+    :func:`evaluate_regions` only shares it across chunks on backends
+    that run them serially (``concurrent_chunks`` False).
     """
 
     __slots__ = ("_bufs",)
@@ -129,16 +133,14 @@ class SweepScratch:
         self, name: str, shape: Tuple[int, ...], dtype: Any = np.float64
     ) -> np.ndarray:
         """A ``shape``-sized view of the named buffer (grown if needed)."""
+        size = 1
+        for dim in shape:
+            size *= dim
         buf = self._bufs.get(name)
-        if (
-            buf is None
-            or buf.dtype != dtype
-            or buf.shape[1:] != shape[1:]
-            or buf.shape[0] < shape[0]
-        ):
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = np.empty(size, dtype=dtype)
             self._bufs[name] = buf
-        return buf[: shape[0]]
+        return buf[:size].reshape(shape)
 
 
 def compute_chunk(
@@ -164,73 +166,78 @@ def compute_chunk(
     :class:`~repro.cubature.rules.DeviceRule`.
 
     Every temporary is written into a ``scratch`` buffer through ``out=``
-    ufunc forms, and every reduction runs along one region's row in a
-    fixed order, so a region's bits do not depend on which other regions
-    share its chunk.  Callers without a reusable scratch get a fresh one;
-    the returned arrays are views into it, valid until its next use.
+    ufunc forms, and every reduction over a region's points or axes runs
+    as an explicit loop in a fixed order, so a region's bits do not
+    depend on which other regions share its chunk.  Callers without a
+    reusable scratch get a fresh one; the returned arrays are views into
+    it, valid until its next use.
     """
     if scratch is None:
         scratch = SweepScratch()
     mc, n = c.shape
     p = dr.points.shape[0]
-    need_companions = error_model in ("four_difference", "cascade")
+    k = 5 if error_model in ("four_difference", "cascade") else 2
 
-    # (mc, p, n) = ref * h + c  (broadcast over the point axis)
-    pts = scratch.take("pts", (mc, p, n))
-    np.multiply(dr.points[None, :, :], h[:, None, :], out=pts)
-    np.add(pts, c[:, None, :], out=pts)
-    vals = bk.map_integrand(integrand, pts.reshape(-1, n))
-    vals = vals.reshape(mc, p)
+    # (n, p, mc): coordinate j of point q in region r is
+    # ref[q, j] * h[r, j] + c[r, j]; the region axis is innermost, and h
+    # and c are first copied to (n, mc) rows so it reads contiguous memory.
+    hT = scratch.take("hT", (n, mc))
+    np.copyto(hT, h.T)
+    cT = scratch.take("cT", (n, mc))
+    np.copyto(cT, c.T)
+    pts = scratch.take("pts", (n, p, mc))
+    np.multiply(dr.points.T[:, :, None], hT[:, None, :], out=pts)
+    np.add(pts, cT[:, None, :], out=pts)
+    # The integrand gets the F-contiguous (N, n) view: column j is the
+    # contiguous row pts[j].  Point i = q * mc + r.
+    vals = bk.map_integrand(integrand, pts.reshape(n, p * mc).T)
+    vals = vals.reshape(p, mc)
     h2 = scratch.take("h2", (mc, n))
     np.multiply(2.0, h, out=h2)
     vol = scratch.take("vol", (mc,))
     np.prod(h2, axis=1, out=vol)
 
-    def contract(w: np.ndarray, name: str):
-        # vol * (vals @ w).  einsum, not BLAS: a threaded gemv splits the
-        # rows across threads and the split changes which rows take the
-        # kernel's remainder path, so ``vals @ w`` bits depend on the
-        # BLAS thread count.
-        out = scratch.take(name, (mc,))
-        np.einsum("ij,j->i", vals, w, out=out)
-        np.multiply(vol, out, out=out)
-        return out
-
-    i7 = contract(dr.w7, "i7")
-    i5 = contract(dr.w5, "i5")
-    if need_companions:
-        i3a = contract(dr.w3a, "i3a")
-        i3b = contract(dr.w3b, "i3b")
-        i1 = contract(dr.w1, "i1")
-        err = _error_from_estimates(i7, i5, i3a, i3b, i1, error_model)
+    # est[k] = vol * Σ_q W[k, q] vals[q], accumulated in ascending q.  An
+    # explicit loop, not einsum or BLAS: their summation order follows
+    # the operand shapes (at mc == 1 the inner loop flips to the point
+    # axis), so a region's bits would depend on its chunk.
+    wq = dr.weights[:k].T[:, :, None]  # (p, k, 1)
+    est = scratch.take("est", (k, mc))
+    term = scratch.take("est_term", (k, mc))
+    np.multiply(wq[0], vals[0], out=est)
+    for q in range(1, p):
+        np.multiply(wq[q], vals[q], out=term)
+        np.add(est, term, out=est)
+    np.multiply(est, vol, out=est)
+    if k == 5:
+        err = _error_from_estimates(*est, error_model)
     else:
         err = scratch.take("err", (mc,))
-        np.subtract(i7, i5, out=err)
+        np.subtract(est[0], est[1], out=err)
         np.abs(err, out=err)
 
-    # Fourth divided differences per axis:
+    # Fourth divided differences per axis, from contiguous row gathers:
     #   D_i = |(f(+λ2 e_i) + f(−λ2 e_i) − 2 f(0))
     #          − (λ2²/λ3²) (f(+λ3 e_i) + f(−λ3 e_i) − 2 f(0))|
-    f0 = vals[:, 0][:, None]  # (mc, 1)
-    f02 = scratch.take("f02", (mc, 1))
-    np.multiply(2.0, f0, out=f02)
-    d2 = scratch.take("d2", (mc, n))
-    d3 = scratch.take("d3", (mc, n))
-    tmp = scratch.take("dtmp", (mc, n))
-    np.take(vals, dr.idx2_plus, axis=1, out=d2)
-    np.take(vals, dr.idx2_minus, axis=1, out=tmp)
+    f02 = scratch.take("f02", (mc,))
+    np.multiply(2.0, vals[0], out=f02)
+    d2 = scratch.take("d2", (n, mc))
+    d3 = scratch.take("d3", (n, mc))
+    tmp = scratch.take("dtmp", (n, mc))
+    np.take(vals, dr.idx2_plus, axis=0, out=d2)
+    np.take(vals, dr.idx2_minus, axis=0, out=tmp)
     np.add(d2, tmp, out=d2)
     np.subtract(d2, f02, out=d2)
-    np.take(vals, dr.idx3_plus, axis=1, out=d3)
-    np.take(vals, dr.idx3_minus, axis=1, out=tmp)
+    np.take(vals, dr.idx3_plus, axis=0, out=d3)
+    np.take(vals, dr.idx3_minus, axis=0, out=tmp)
     np.add(d3, tmp, out=d3)
     np.subtract(d3, f02, out=d3)
     np.multiply(FOURTH_DIFF_RATIO, d3, out=d3)
     np.subtract(d2, d3, out=d2)
     np.abs(d2, out=d2)  # d2 is now the fourth-difference magnitude
     axis = scratch.take("axis", (mc,), dtype=np.intp)
-    np.argmax(d2, axis=1, out=axis)
-    return i7, err, axis
+    np.argmax(d2, axis=0, out=axis)
+    return est[0], err, axis
 
 
 class ChunkTask:
@@ -383,7 +390,7 @@ def evaluate_regions(
     Notes
     -----
     The degree-7 weights are normalised per unit volume of the reference
-    cube, so estimates are ``volume * (values @ w)`` with
+    cube, so estimates are ``volume * Σ_q w[q] * values[q]`` with
     ``volume = prod(2 * halfwidth)``.
     """
     if error_model not in ("cascade", "two_rule", "four_difference"):

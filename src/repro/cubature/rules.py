@@ -154,7 +154,7 @@ def get_rule(ndim: int) -> GenzMalikRule:
 class DeviceRule:
     """A :class:`GenzMalikRule`'s tensors resident on one backend.
 
-    The hot path only ever reads these ten arrays; materialising them once
+    The hot path only ever reads these six arrays; materialising them once
     per ``(backend, ndim)`` pair means a real accelerator backend uploads
     the point set and weight vectors a single time per process instead of
     once per ``evaluate`` sweep (host backends pay nothing either way —
@@ -163,11 +163,8 @@ class DeviceRule:
 
     ndim: int
     points: Any
-    w7: Any
-    w5: Any
-    w3a: Any
-    w3b: Any
-    w1: Any
+    #: ``(5, p)`` stacked rule weights, rows ``w7, w5, w3a, w3b, w1``
+    weights: Any
     idx2_plus: Any
     idx2_minus: Any
     idx3_plus: Any
@@ -181,7 +178,7 @@ class RuleCache:
     memoises the *host-side* construction (orbit generation and the moment
     solves) per dimensionality, and this cache memoises the *backend-side*
     tensors per ``(backend, ndim)`` pair.  Before the batched execution
-    layer, every ``evaluate`` sweep re-coerced the ten rule arrays onto
+    layer, every ``evaluate`` sweep re-coerced the rule arrays onto
     its backend; with many integrals in flight that rebuild multiplies, so
     the cache is keyed weakly by backend instance (a garbage-collected
     backend drops its tensors) and shared by every run in the process.
@@ -205,11 +202,9 @@ class RuleCache:
                 dr = DeviceRule(
                     ndim=rule.ndim,
                     points=backend.asarray(rule.points),
-                    w7=backend.asarray(rule.w7),
-                    w5=backend.asarray(rule.w5),
-                    w3a=backend.asarray(rule.w3a),
-                    w3b=backend.asarray(rule.w3b),
-                    w1=backend.asarray(rule.w1),
+                    weights=backend.asarray(np.stack(
+                        [rule.w7, rule.w5, rule.w3a, rule.w3b, rule.w1]
+                    )),
                     idx2_plus=backend.asarray(rule.idx2_plus),
                     idx2_minus=backend.asarray(rule.idx2_minus),
                     idx3_plus=backend.asarray(rule.idx3_plus),

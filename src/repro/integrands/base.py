@@ -15,6 +15,37 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def fold_columns(
+    ufunc: np.ufunc,
+    x: np.ndarray,
+    term: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Fold ``term(j, x[:, j], out)`` over the columns of ``x`` with
+    ``ufunc`` (``np.add`` for a sum, ``np.multiply`` for a product), in
+    ascending ``j``.
+
+    ``term`` writes column ``j``'s contribution into ``out`` and returns
+    it.  The fold order is the column order whatever ``x``'s memory
+    layout, so a point's value has the same bits on C- and F-ordered
+    points and however many points share the call.  On the evaluate
+    sweep's F-contiguous points every column is a contiguous row.
+    """
+    cols = x.T
+    acc = term(0, cols[0], np.empty_like(cols[0], dtype=np.float64))
+    if len(cols) > 1:
+        buf = np.empty_like(acc)
+        for j in range(1, len(cols)):
+            ufunc(acc, term(j, cols[j], buf), out=acc)
+    return acc
+
+
+def weighted_sum(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``Σ_j coeffs[j] · x[:, j]`` as a column fold (see :func:`fold_columns`)."""
+    return fold_columns(
+        np.add, x, lambda j, xj, out: np.multiply(xj, coeffs[j], out=out)
+    )
+
+
 @dataclass
 class Integrand:
     """A batch integrand plus benchmark metadata.
@@ -23,7 +54,9 @@ class Integrand:
     ----------
     fn:
         Batch callable mapping ``(N, ndim)`` float64 points to ``(N,)``
-        values.
+        values.  The points may be in either memory layout: the evaluate
+        sweep passes an F-contiguous view (each coordinate column is
+        contiguous), the baselines pass C-ordered rows.
     ndim:
         Dimensionality the callable expects.
     name:

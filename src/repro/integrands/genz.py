@@ -18,8 +18,9 @@ Family catalogue (all on [0,1]^d):
 ``discontinuous``     exp(Σ a_i x_i) if x₁ ≤ u₁ and x₂ ≤ u₂, else 0
 ====================  ====================================================
 
-The ``Σ a_i x_i`` sums are fixed-order einsums rather than BLAS ``x @ a``,
-for the reason given in :mod:`repro.integrands.paper`.
+Sums and products over the coordinates are column-wise folds
+(:func:`~repro.integrands.base.fold_columns`), for the reason given in
+:mod:`repro.integrands.paper`.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf as _erf
 
-from repro.integrands.base import Integrand
+from repro.integrands.base import Integrand, fold_columns, weighted_sum
 
 
 class GenzFamily(str, enum.Enum):
@@ -116,16 +116,25 @@ def make_genz(
         phase = 2.0 * math.pi * u[0]
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.cos(phase + np.einsum("ij,j->i", x, a))
+            s = weighted_sum(x, a)
+            np.add(phase, s, out=s)
+            return np.cos(s, out=s)
 
         ref = _osc_reference(a, phase)
         sign_definite = False
         flops = 2.0 * ndim + 20.0
 
     elif family is GenzFamily.PRODUCT_PEAK:
+        inv_a2 = 1.0 / a**2
+
+        def term(j: int, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.subtract(xj, u[j], out=out)
+            np.square(out, out=out)
+            np.add(inv_a2[j], out, out=out)
+            return np.divide(1.0, out, out=out)
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.prod(1.0 / (1.0 / a[None, :] ** 2 + (x - u[None, :]) ** 2), axis=1)
+            return fold_columns(np.multiply, x, term)
 
         ref = float(
             np.prod([ai * (math.atan(ai * (1.0 - ui)) + math.atan(ai * ui)) for ai, ui in zip(a, u)])
@@ -137,16 +146,26 @@ def make_genz(
         power = -(ndim + 1.0)
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.power(1.0 + np.einsum("ij,j->i", x, a), power)
+            s = weighted_sum(x, a)
+            np.add(1.0, s, out=s)
+            return np.power(s, power, out=s)
 
         ref = _corner_reference(a)
         sign_definite = True
         flops = 2.0 * ndim + 40.0
 
     elif family is GenzFamily.GAUSSIAN:
+        from scipy.special import erf as _erf
+
+        def term(j: int, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.subtract(xj, u[j], out=out)
+            np.multiply(a[j], out, out=out)
+            return np.square(out, out=out)
 
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.exp(-np.sum((a[None, :] * (x - u[None, :])) ** 2, axis=1))
+            s = fold_columns(np.add, x, term)
+            np.negative(s, out=s)
+            return np.exp(s, out=s)
 
         ref = float(
             np.prod(
@@ -161,8 +180,15 @@ def make_genz(
 
     elif family is GenzFamily.C0:
 
+        def term(j: int, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.subtract(xj, u[j], out=out)
+            np.abs(out, out=out)
+            return np.multiply(a[j], out, out=out)
+
         def fn(x: np.ndarray) -> np.ndarray:
-            return np.exp(-np.sum(a[None, :] * np.abs(x - u[None, :]), axis=1))
+            s = fold_columns(np.add, x, term)
+            np.negative(s, out=s)
+            return np.exp(s, out=s)
 
         ref = float(
             np.prod(
@@ -178,11 +204,12 @@ def make_genz(
     elif family is GenzFamily.DISCONTINUOUS:
 
         def fn(x: np.ndarray) -> np.ndarray:
-            inside = (x[:, 0] <= u[0]) & (x[:, 1] <= u[1]) if ndim >= 2 else x[:, 0] <= u[0]
-            out = np.zeros(x.shape[0])
-            if np.any(inside):
-                out[inside] = np.exp(np.einsum("ij,j->i", x[inside], a))
-            return out
+            cols = x.T
+            inside = cols[0] <= u[0]
+            if ndim >= 2:
+                inside &= cols[1] <= u[1]
+            s = weighted_sum(x, a)
+            return np.exp(s, out=np.zeros_like(s), where=inside)
 
         ref = 1.0
         for i, ai in enumerate(a):

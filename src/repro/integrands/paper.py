@@ -9,11 +9,16 @@ The paper evaluates f1, f3, f4, f5, f7, f8 in eight dimensions, f4 also in
 five, f6 in six and f3 also in three — the factories below take ``ndim``
 where the paper varies it.
 
-Inner products ``Σ c_i x_i`` are ``np.einsum("ij,j->i", ...)``, not BLAS
-``x @ c``: a BLAS kernel picks its summation order from the row count and
-the thread count, so one point's value would depend on how many regions
-shared its chunk.  The einsum sums each row in a fixed order, so a point
-gets the same bits whatever the chunk grain, backend or BLAS threads.
+Every sum and product over the coordinates is a column-wise fold
+(:func:`~repro.integrands.base.fold_columns`): ascending ``j``, one
+reused ``out=`` temporary, no BLAS ``x @ c`` and no ``axis=1``
+reduction.  A BLAS kernel or a row reduction picks its summation order
+from the row count, the thread count or the memory layout, so one point's
+value would depend on how many regions shared its chunk or on whether the
+caller passed C- or F-ordered points.  The fold has one order, so a point
+gets the same bits whatever the chunk grain, backend, BLAS threads or
+layout; on the evaluate sweep's F-contiguous points each column is a
+contiguous row.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import List
 
 import numpy as np
 
-from repro.integrands.base import Integrand
+from repro.integrands.base import Integrand, fold_columns, weighted_sum
 from repro.reference.boxint import box_integral, box_moment_exact
 
 
@@ -47,7 +52,8 @@ def f1_oscillatory(ndim: int = 8) -> Integrand:
     coeffs = np.arange(1.0, ndim + 1.0)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.cos(np.einsum("ij,j->i", x, coeffs))
+        s = weighted_sum(x, coeffs)
+        return np.cos(s, out=s)
 
     return Integrand(
         fn=fn,
@@ -68,8 +74,14 @@ def f2_product_peak(ndim: int = 6) -> Integrand:
     a = 1.0 / 50.0
     factor_1d = (2.0 / a) * atan(0.5 / a)
 
+    def term(j: int, xj: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.subtract(xj, 0.5, out=out)
+        np.square(out, out=out)
+        np.add(a * a, out, out=out)
+        return np.divide(1.0, out, out=out)
+
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.prod(1.0 / (a * a + (x - 0.5) ** 2), axis=1)
+        return fold_columns(np.multiply, x, term)
 
     return Integrand(
         fn=fn,
@@ -111,7 +123,9 @@ def f3_corner_peak(ndim: int = 8) -> Integrand:
     power = -(ndim + 1.0)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.power(1.0 + np.einsum("ij,j->i", x, coeffs), power)
+        s = weighted_sum(x, coeffs)
+        np.add(1.0, s, out=s)
+        return np.power(s, power, out=s)
 
     return Integrand(
         fn=fn,
@@ -132,7 +146,12 @@ def f4_gaussian(ndim: int = 8) -> Integrand:
     factor_1d = sqrt(pi) / 25.0 * erf(12.5)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.exp(-625.0 * np.sum((x - 0.5) ** 2, axis=1))
+        s = fold_columns(
+            np.add, x,
+            lambda j, xj, out: np.square(np.subtract(xj, 0.5, out=out), out=out),
+        )
+        np.multiply(-625.0, s, out=s)
+        return np.exp(s, out=s)
 
     return Integrand(
         fn=fn,
@@ -152,7 +171,12 @@ def f5_c0(ndim: int = 8) -> Integrand:
     factor_1d = (1.0 - exp(-5.0)) / 5.0
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.exp(-10.0 * np.sum(np.abs(x - 0.5), axis=1))
+        s = fold_columns(
+            np.add, x,
+            lambda j, xj, out: np.abs(np.subtract(xj, 0.5, out=out), out=out),
+        )
+        np.multiply(-10.0, s, out=s)
+        return np.exp(s, out=s)
 
     return Integrand(
         fn=fn,
@@ -177,11 +201,12 @@ def f6_discontinuous(ndim: int = 6) -> Integrand:
         ref *= (exp(rates[i] * cuts[i]) - 1.0) / rates[i]
 
     def fn(x: np.ndarray) -> np.ndarray:
-        inside = np.all(x < cuts[None, :], axis=1)
-        out = np.zeros(x.shape[0])
-        if np.any(inside):
-            out[inside] = np.exp(np.einsum("ij,j->i", x[inside], rates))
-        return out
+        cols = x.T
+        inside = cols[0] < cuts[0]
+        for j in range(1, ndim):
+            inside &= cols[j] < cuts[j]
+        s = weighted_sum(x, rates)
+        return np.exp(s, out=np.zeros_like(s), where=inside)
 
     return Integrand(
         fn=fn,
@@ -197,11 +222,16 @@ def f6_discontinuous(ndim: int = 6) -> Integrand:
 # ---------------------------------------------------------------------------
 # f7/f8: box integrals (Σ x_i²)^{11} and (Σ x_i²)^{15/2}
 # ---------------------------------------------------------------------------
+def _sum_of_squares(x: np.ndarray) -> np.ndarray:
+    return fold_columns(np.add, x, lambda j, xj, out: np.square(xj, out=out))
+
+
 def f7_box11(ndim: int = 8) -> Integrand:
     """f7(x) = (Σ x_i²)^{11}; reference is the exact rational moment."""
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.sum(x * x, axis=1) ** 11
+        s = _sum_of_squares(x)
+        return np.power(s, 11, out=s)
 
     return Integrand(
         fn=fn,
@@ -225,7 +255,8 @@ def f8_box15(ndim: int = 8) -> Integrand:
         raise ValueError("f8 reference available for ndim in {2, 4, 8}")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.sum(x * x, axis=1) ** 7.5
+        s = _sum_of_squares(x)
+        return np.power(s, 7.5, out=s)
 
     return Integrand(
         fn=fn,

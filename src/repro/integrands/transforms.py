@@ -29,9 +29,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
-from repro.integrands.base import Integrand
+from repro.integrands.base import Integrand, fold_columns, weighted_sum
 
 #: clip points one ulp inside the open cube before singular maps
 _EPS = 1e-15
@@ -94,7 +93,10 @@ def semi_infinite(
         t = np.clip(t, _EPS, 1.0 - _EPS)
         one_minus = 1.0 - t
         x = s[None, :] * t / one_minus
-        jac = np.prod(s[None, :] / one_minus**2, axis=1)
+        jac = fold_columns(
+            np.multiply, one_minus,
+            lambda j, oj, out: np.divide(s[j], np.square(oj, out=out), out=out),
+        )
         return base.fn(x) * jac
 
     return Integrand(
@@ -128,9 +130,15 @@ def infinite(
         w = t * (1.0 - t)
         x = s[None, :] * (2.0 * t - 1.0) / w
         # dx/dt = s * (2w + (2t-1)^2) / w^2  (always positive)
-        jac = np.prod(
-            s[None, :] * (2.0 * w + (2.0 * t - 1.0) ** 2) / (w * w), axis=1
-        )
+        wT = w.T
+
+        def dxdt(j: int, tj: np.ndarray, out: np.ndarray) -> np.ndarray:
+            return np.divide(
+                s[j] * (2.0 * wT[j] + (2.0 * tj - 1.0) ** 2), wT[j] * wT[j],
+                out=out,
+            )
+
+        jac = fold_columns(np.multiply, t, dxdt)
         return base.fn(x) * jac
 
     return Integrand(
@@ -168,10 +176,17 @@ def gaussian_measure(
             raise ValueError(f"chol must have shape ({ndim}, {ndim})")
 
     def fn(u: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri
+
         z = ndtri(np.clip(u, _EPS, 1.0 - _EPS))
-        # z Lᵀ as a fixed-order einsum: a BLAS gemm's bits would depend
-        # on the chunk's row count and the BLAS thread count.
-        return base.fn(mu[None, :] + np.einsum("ij,kj->ik", z, L))
+        # mean + z Lᵀ, one output axis at a time, each a column fold over
+        # z: a BLAS gemm's (or einsum's) summation order would depend on
+        # the chunk's row count, the BLAS thread count or z's layout.  The
+        # base integrand gets the F-contiguous view of the (n, N) result.
+        y = np.empty((ndim, z.shape[0]))
+        for k in range(ndim):
+            np.add(mu[k], weighted_sum(z, L[k]), out=y[k])
+        return base.fn(y.T)
 
     # only diagonal covariances are expressible in the spec grammar
     spec_params: Optional[Dict[str, ParamLike]] = {"mean": mu}

@@ -36,9 +36,10 @@ import numpy as np
 
 from repro.core.result import IntegrationResult
 
-#: bump when the fingerprint payload layout changes, so stale
-#: disk-serialised fingerprints (if anyone persists them) cannot collide
-FINGERPRINT_SCHEMA = 2
+#: bump when the fingerprint payload layout or the computed bits change,
+#: so stale durable entries and disk-serialised fingerprints cannot collide
+#: (3: the dimension-major evaluate sweep moved estimates by ULPs)
+FINGERPRINT_SCHEMA = 3
 
 
 def job_fingerprint(

@@ -2,12 +2,14 @@
 
 ``evaluate_regions`` cuts the live regions into chunks whose size is a
 speed setting (``chunk_budget``).  Every reduction a region's estimate,
-error and split axis depend on — the integrand's inner products included
+error and split axis depend on — the integrand's column folds included
 — runs along that region's own points in a fixed order, so how many
 regions share a chunk, and which backend runs it, must not change a bit.
-The cases are the integrands with a contraction site: the catalogue's
+The stacked rule contraction is a grain-sensitive site for every
+integrand; the cases add the integrands' own sites: the catalogue's
 ``Σ c_i x_i`` sums (paper f1, f3, f6; Genz oscillatory, corner peak and
-discontinuous) and ``gaussian_measure``'s ``z Lᵀ``.
+discontinuous), the column-wise sums and products of f2, f4, f5 and f7,
+and ``gaussian_measure``'s ``z Lᵀ``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ CASES = {
     "5D-genz-oscillatory": lambda: named_integrand("5D-genz-oscillatory"),
     "5D-genz-corner_peak": lambda: named_integrand("5D-genz-corner_peak"),
     "4D-genz-discontinuous": lambda: named_integrand("4D-genz-discontinuous"),
+    "5D-f4": lambda: named_integrand("5D-f4"),
+    "5D-f5": lambda: named_integrand("5D-f5"),
+    "8D-f7": lambda: named_integrand("8D-f7"),
+    "4D-f2": lambda: named_integrand("4D-f2"),
     "gaussian_measure": _correlated_gaussian,
 }
 

@@ -117,14 +117,16 @@ def test_reflection_symmetry_of_estimates():
 
 
 def test_integrand_called_with_expected_point_layout():
-    """The integrand receives an (N, ndim) float64 C-contiguous array."""
+    """The integrand receives an (N, ndim) float64 F-contiguous array: the
+    transpose of the sweep's dimension-major point buffer, so every
+    coordinate column is a contiguous row."""
     rule = get_rule(3)
     seen = {}
 
     def probe(x):
         seen["shape"] = x.shape
         seen["dtype"] = x.dtype
-        seen["contig"] = x.flags["C_CONTIGUOUS"]
+        seen["contig"] = x.flags["F_CONTIGUOUS"]
         return np.ones(x.shape[0])
 
     evaluate_regions(rule, np.full((2, 3), 0.5), np.full((2, 3), 0.1), probe)

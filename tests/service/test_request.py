@@ -49,11 +49,11 @@ CORPUS = [
     {"collect_traces": True},
 ]
 
-#: the base corpus digest at fingerprint schema 2 (backend and chunk
-#: grain left the payload) — byte stability means this never changes
-#: without a schema bump
+#: the base corpus digest at fingerprint schema 3 (the dimension-major
+#: evaluate sweep moved computed bits) — byte stability means this never
+#: changes without a schema bump
 PINNED_BASE_FINGERPRINT = (
-    "83d03148d5a9000f20fe2845be30908e9871623dbabcce4b40806ed622c0dbba"
+    "8c6d4bbba404114f39b8eef8d14b05c1d0e8f36fd3c9647138da1bea5a16ee73"
 )
 
 

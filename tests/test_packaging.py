@@ -108,6 +108,30 @@ def test_module_level_imports_are_declared_dependencies():
     assert third_party <= declared, sorted(third_party - declared)
 
 
+def test_import_does_not_load_scipy():
+    """SciPy is imported lazily (Sobol constructor, ``gaussian_measure``'s
+    map, the Genz Gaussian reference), so importing the package, the
+    catalogue and the router leaves it out of ``sys.modules``.  A fresh
+    interpreter, because this test session has long since imported it."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro, repro.integrands.catalog, repro.backends.routing; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_all_registered_backend_names_reach_the_cli_help(capsys):
     """`--backend` help is generated from the registry
     (``backend_spec_help``), so every registered backend must appear in
