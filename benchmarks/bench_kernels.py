@@ -5,17 +5,26 @@ time), these time the actual Python/NumPy implementations with
 pytest-benchmark — the vectorised evaluate sweep is the reproduction's real
 "GPU kernel", and its host throughput is what bounds every experiment's
 wall time.  Also contrasts the batched sweep against per-region evaluation
-(the vectorisation win the HPC guides prescribe) and times the classification
-and split kernels.
+(the vectorisation win the HPC guides prescribe), times one
+``compute_chunk`` at the threaded lane's small grain and at the reference
+grain (where the points are built in several tiles), and times the
+classification and split kernels.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
+from repro.backends.threaded import ThreadedNumpyBackend
 from repro.core.classify import rel_err_classify, threshold_classify
 from repro.core.regions import RegionStore
-from repro.cubature.evaluation import evaluate_regions
-from repro.cubature.rules import get_rule
+from repro.cubature.evaluation import (
+    _CHUNK_BUDGET,
+    SweepScratch,
+    compute_chunk,
+    evaluate_regions,
+)
+from repro.cubature.rules import RULE_CACHE, get_rule
 from repro.integrands.paper import f4_gaussian, f7_box11
 
 BATCH = 4096
@@ -47,6 +56,37 @@ def test_evaluate_single_region_overhead(benchmark):
     integrand = f4_gaussian(ndim)
     centers, halfw = _regions(ndim, 1)
     benchmark(lambda: evaluate_regions(rule, centers, halfw, integrand))
+
+
+@pytest.mark.parametrize(
+    "ndim, grain",
+    [
+        (8, ThreadedNumpyBackend.preferred_batch_chunk_budget),
+        (5, _CHUNK_BUDGET),
+        (8, _CHUNK_BUDGET),
+    ],
+    ids=["8D-threaded", "5D-reference", "8D-reference"],
+)
+def test_compute_chunk(benchmark, ndim, grain):
+    """One evaluate chunk at a lane's grain, with a warm reused scratch.
+
+    At the threaded grain an 8D chunk holds about 40 regions, so the
+    per-point rule loop's ufunc overhead shows; at the reference grain
+    the points are built and evaluated in several tiles.
+    """
+    bk = get_backend("numpy")
+    rule = get_rule(ndim)
+    dr = RULE_CACHE.device_rule(rule, bk)
+    integrand = f4_gaussian(ndim)
+    m = grain // (rule.npoints * ndim)
+    centers, halfw = _regions(ndim, m)
+    scratch = SweepScratch()
+    est, _, _ = benchmark(
+        lambda: compute_chunk(
+            bk, dr, integrand, centers, halfw, "cascade", scratch
+        )
+    )
+    assert est.shape == (m,)
 
 
 def test_integrand_evaluation_throughput(benchmark):

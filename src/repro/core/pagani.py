@@ -42,7 +42,11 @@ from repro.backends import BackendLike, get_backend
 from repro.core.classify import ThresholdTrace, rel_err_classify, threshold_classify
 from repro.core.regions import RegionStore
 from repro.core.result import IntegrationResult, IterationRecord, Status
-from repro.cubature.evaluation import SweepScratch, evaluate_regions
+from repro.cubature.evaluation import (
+    _CHUNK_BUDGET,
+    SweepScratch,
+    evaluate_regions,
+)
 from repro.cubature.rules import get_rule
 from repro.cubature.two_level import two_level_errors
 from repro.errors import ConfigurationError
@@ -90,9 +94,11 @@ class PaganiConfig:
     #: per-region finished test is e_i <= margin·τ_rel·|v_i|; the margin
     #: reserves part of the global budget for threshold commitments
     relerr_margin: float = 0.5
-    #: chunking budget for the evaluate sweep (floats per chunk); a speed
-    #: and memory setting only — results are the same bits at any grain
-    chunk_budget: int = 16_000_000
+    #: evaluate-sweep chunk grain in point floats: sets the chunk count
+    #: and the size of each chunk's values array (points are built in
+    #: tiles of ``evaluation._TILE_FLOATS``); a speed and memory setting
+    #: only — results are the same bits at any grain
+    chunk_budget: int = _CHUNK_BUDGET
     #: execution backend for the hot path: a registered name
     #: ("numpy", "threaded[:<N>]", "process[:<N>]") or an
     #: :class:`~repro.backends.base.ArrayBackend` instance

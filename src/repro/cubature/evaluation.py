@@ -3,18 +3,20 @@
 PAGANI's defining trait is that *all* live regions are evaluated in one
 parallel sweep per iteration.  The sweep executes on a pluggable
 :class:`~repro.backends.base.ArrayBackend` (NumPy by default) and is
-dimension-major: points for a chunk of regions are materialised in one
-``(n, p, chunk)`` buffer, so each coordinate is a contiguous row and the
-integrand receives the F-contiguous ``(p * chunk, n)`` transpose.  The
-values come back as ``(p, chunk)``; the five rule estimates are one
-stacked accumulation over the points in ascending order, and the
-fourth-difference axis scan uses contiguous row gathers.  Chunking bounds
-peak memory (the guides' "be easy on memory" rule) and doubles as the
-parallel decomposition: each chunk is an independent thunk the backend
-may schedule on a thread pool or a device stream.  No reduction goes
-through BLAS or ``einsum``, whose summation order follows the operand
-shapes; every one runs in a fixed order per region, so neither the chunk
-grain nor the backend nor the BLAS thread count changes a bit.
+dimension-major: a chunk's points are built one cache-sized tile of
+regions at a time in an ``(n, p, tile)`` buffer, so each coordinate is a
+contiguous row and the integrand receives the F-contiguous
+``(p * tile, n)`` transpose.  The values of all tiles land in one
+``(p, chunk)`` array; the five rule estimates are one stacked
+accumulation over the points in ascending order, and the
+fourth-difference axis scan uses contiguous row gathers.  Tiling bounds
+the point memory, chunking bounds the rest (the guides' "be easy on
+memory" rule) and doubles as the parallel decomposition: each chunk is an
+independent thunk the backend may schedule on a thread pool or a device
+stream.  No reduction goes through BLAS or ``einsum``, whose summation
+order follows the operand shapes; every one runs in a fixed order per
+region, so neither the chunk grain, the tile size, the backend nor the
+BLAS thread count changes a bit.
 
 Returned per region:
 
@@ -40,8 +42,16 @@ import numpy as np
 from repro.backends import BackendLike, get_backend
 from repro.cubature.rules import FOURTH_DIFF_RATIO, RULE_CACHE, GenzMalikRule
 
-#: cap on floats materialised per chunk (regions * points * ndim)
+#: reference chunk grain, in point floats (regions * points * ndim): sets
+#: how many regions share a chunk, and so the size of the chunk's
+#: ``(points, regions)`` values array; at most ``_TILE_FLOATS`` of those
+#: point floats are materialised at a time
 _CHUNK_BUDGET = 16_000_000
+
+#: cap on point floats materialised at once (8 MiB, the process lane's
+#: grain): larger chunks build their points and call the integrand one
+#: tile of regions at a time
+_TILE_FLOATS = 1_048_576
 
 
 @dataclass
@@ -143,6 +153,23 @@ class SweepScratch:
         return buf[:size].reshape(shape)
 
 
+def _tile_values(bk, dr, integrand, hT, cT, scratch: SweepScratch):
+    """Integrand values ``(p, w)`` at the points of one tile of ``w`` regions.
+
+    The tile's points go into the scratch's ``(n, p, w)`` ``pts`` buffer:
+    coordinate j of point q in region r is ``ref[q, j] * h[r, j] +
+    c[r, j]``, with the region axis innermost.  The integrand gets the
+    F-contiguous ``(p * w, n)`` view, whose column j is the contiguous
+    row ``pts[j]``; point i = q * w + r.
+    """
+    n, w = hT.shape
+    p = dr.points.shape[0]
+    pts = scratch.take("pts", (n, p, w))
+    np.multiply(dr.points.T[:, :, None], hT[:, None, :], out=pts)
+    np.add(pts, cT[:, None, :], out=pts)
+    return bk.map_integrand(integrand, pts.reshape(n, p * w).T).reshape(p, w)
+
+
 def compute_chunk(
     bk,
     dr,
@@ -165,6 +192,14 @@ def compute_chunk(
     ``bk``'s array type; ``dr`` is the matching
     :class:`~repro.cubature.rules.DeviceRule`.
 
+    Points are built and passed to the integrand one tile of at most
+    ``_TILE_FLOATS`` point floats at a time (see :func:`_tile_values`),
+    so a large chunk never materialises all its points; a chunk that
+    fits in one tile makes a single integrand call.  A point's value
+    does not depend on how many points share the call, so the tile size
+    changes no bit.  The rule contraction, error model and fourth
+    differences then run once over the chunk's ``(p, mc)`` values.
+
     Every temporary is written into a ``scratch`` buffer through ``out=``
     ufunc forms, and every reduction over a region's points or axes runs
     as an explicit loop in a fixed order, so a region's bits do not
@@ -178,20 +213,22 @@ def compute_chunk(
     p = dr.points.shape[0]
     k = 5 if error_model in ("four_difference", "cascade") else 2
 
-    # (n, p, mc): coordinate j of point q in region r is
-    # ref[q, j] * h[r, j] + c[r, j]; the region axis is innermost, and h
-    # and c are first copied to (n, mc) rows so it reads contiguous memory.
+    # h and c are copied to (n, mc) rows so the point builds read
+    # contiguous memory along the region axis.
     hT = scratch.take("hT", (n, mc))
     np.copyto(hT, h.T)
     cT = scratch.take("cT", (n, mc))
     np.copyto(cT, c.T)
-    pts = scratch.take("pts", (n, p, mc))
-    np.multiply(dr.points.T[:, :, None], hT[:, None, :], out=pts)
-    np.add(pts, cT[:, None, :], out=pts)
-    # The integrand gets the F-contiguous (N, n) view: column j is the
-    # contiguous row pts[j].  Point i = q * mc + r.
-    vals = bk.map_integrand(integrand, pts.reshape(n, p * mc).T)
-    vals = vals.reshape(p, mc)
+    step = max(1, _TILE_FLOATS // (n * p))
+    if mc <= step:
+        vals = _tile_values(bk, dr, integrand, hT, cT, scratch)
+    else:
+        vals = scratch.take("vals", (p, mc))
+        for lo in range(0, mc, step):
+            hi = min(lo + step, mc)
+            vals[:, lo:hi] = _tile_values(
+                bk, dr, integrand, hT[:, lo:hi], cT[:, lo:hi], scratch
+            )
     h2 = scratch.take("h2", (mc, n))
     np.multiply(2.0, h, out=h2)
     vol = scratch.take("vol", (mc,))
@@ -367,9 +404,12 @@ def evaluate_regions(
     error_model:
         See :func:`_error_from_estimates`.
     chunk_budget:
-        Max floats materialised per chunk; tunes peak memory, and sets the
-        grain of the backend's chunk-level parallelism.  A speed setting
-        only: every region gets the same bits at any grain.
+        Chunk grain in point floats (regions * points * ndim): sets the
+        grain of the backend's chunk-level parallelism and the size of
+        each chunk's ``(points, regions)`` values array.  Points
+        themselves are materialised at most ``_TILE_FLOATS`` floats at
+        a time.  A speed setting only: every region gets the same bits
+        at any grain.
     backend:
         Execution backend spec (``None`` = reference NumPy).  Each chunk's
         arithmetic is identical across host backends, so results do not
