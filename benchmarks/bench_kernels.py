@@ -7,14 +7,17 @@ pytest-benchmark — the vectorised evaluate sweep is the reproduction's real
 wall time.  Also contrasts the batched sweep against per-region evaluation
 (the vectorisation win the HPC guides prescribe), times one
 ``compute_chunk`` at the threaded lane's small grain and at the reference
-grain (where the points are built in several tiles), and times the
-classification and split kernels.
+grain (where the integrand is called in several tiles), contrasts the
+lattice path of the paper and Genz integrands with the point path at the
+threaded, process and reference grains, and times the classification and
+split kernels.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.process import ProcessNumpyBackend
 from repro.backends.threaded import ThreadedNumpyBackend
 from repro.core.classify import rel_err_classify, threshold_classify
 from repro.core.regions import RegionStore
@@ -25,6 +28,9 @@ from repro.cubature.evaluation import (
     evaluate_regions,
 )
 from repro.cubature.rules import RULE_CACHE, get_rule
+from repro.integrands.base import Integrand
+from repro.integrands.catalog import named_integrand
+from repro.integrands.genz import GenzFamily
 from repro.integrands.paper import f4_gaussian, f7_box11
 
 BATCH = 4096
@@ -79,6 +85,46 @@ def test_compute_chunk(benchmark, ndim, grain):
     dr = RULE_CACHE.device_rule(rule, bk)
     integrand = f4_gaussian(ndim)
     m = grain // (rule.npoints * ndim)
+    centers, halfw = _regions(ndim, m)
+    scratch = SweepScratch()
+    est, _, _ = benchmark(
+        lambda: compute_chunk(
+            bk, dr, integrand, centers, halfw, "cascade", scratch
+        )
+    )
+    assert est.shape == (m,)
+
+
+GRAINS = {
+    "threaded": ThreadedNumpyBackend.preferred_batch_chunk_budget,
+    "process": ProcessNumpyBackend.preferred_batch_chunk_budget,
+    "reference": _CHUNK_BUDGET,
+}
+LATTICE_SPECS = ["5D-f4", "8D-f3", "8D-f7"] + [
+    f"5D-genz-{family.value}" for family in GenzFamily
+]
+
+
+@pytest.mark.parametrize("path", ["lattice", "points"])
+@pytest.mark.parametrize("grain", list(GRAINS))
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_compute_chunk_lattice_vs_points(benchmark, spec, grain, path):
+    """One evaluate chunk on the lattice path and on the point path.
+
+    ``lattice`` is the paper or Genz integrand, evaluated on each tile's
+    coordinate lattice; ``points`` is the same integrand stripped of its
+    lattice flag, evaluated on the tile's point buffer (the path every
+    user callable takes).  A process-grain chunk (1 Mi point floats) is
+    one tile; at the reference grain the chunk runs about 16 tiles.
+    """
+    bk = get_backend("numpy")
+    integrand = named_integrand(spec)
+    if path == "points":
+        integrand = Integrand(fn=integrand.fn, ndim=integrand.ndim)
+    ndim = integrand.ndim
+    rule = get_rule(ndim)
+    dr = RULE_CACHE.device_rule(rule, bk)
+    m = GRAINS[grain] // (rule.npoints * ndim)
     centers, halfw = _regions(ndim, m)
     scratch = SweepScratch()
     est, _, _ = benchmark(

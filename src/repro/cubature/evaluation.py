@@ -3,20 +3,26 @@
 PAGANI's defining trait is that *all* live regions are evaluated in one
 parallel sweep per iteration.  The sweep executes on a pluggable
 :class:`~repro.backends.base.ArrayBackend` (NumPy by default) and is
-dimension-major: a chunk's points are built one cache-sized tile of
-regions at a time in an ``(n, p, tile)`` buffer, so each coordinate is a
-contiguous row and the integrand receives the F-contiguous
-``(p * tile, n)`` transpose.  The values of all tiles land in one
-``(p, chunk)`` array; the five rule estimates are one stacked
-accumulation over the points in ascending order, and the
-fourth-difference axis scan uses contiguous row gathers.  Tiling bounds
-the point memory, chunking bounds the rest (the guides' "be easy on
-memory" rule) and doubles as the parallel decomposition: each chunk is an
-independent thunk the backend may schedule on a thread pool or a device
-stream.  No reduction goes through BLAS or ``einsum``, whose summation
-order follows the operand shapes; every one runs in a fixed order per
-region, so neither the chunk grain, the tile size, the backend nor the
-BLAS thread count changes a bit.
+dimension-major, one cache-sized tile of regions at a time.  Every
+Genz–Malik offset is one of 7 values, so a paper or Genz integrand
+receives a tile as a :class:`~repro.integrands.base.Lattice`: an
+``(n, 7, tile)`` array of each coordinate's distinct values plus the
+rule's point index.  It computes its per-coordinate terms on the
+lattice, gathers them to the points and folds them there, so no point
+buffer is built.  Any other callable receives the tile's points, built
+in an ``(n, p, tile)`` buffer so each coordinate is a contiguous row,
+as the F-contiguous ``(p * tile, n)`` transpose.  Both forms give the
+same bits.  The values of all tiles land in one ``(p, chunk)`` array;
+the five rule estimates are one stacked accumulation over the points
+in ascending order, and the fourth-difference axis scan uses contiguous
+row gathers.
+Tiling bounds the point memory, chunking bounds the rest (the guides'
+"be easy on memory" rule) and doubles as the parallel decomposition:
+each chunk is an independent thunk the backend may schedule on a thread
+pool or a device stream.  No reduction goes through BLAS or ``einsum``,
+whose summation order follows the operand shapes; every one runs in a
+fixed order per region, so neither the chunk grain, the tile size, the
+backend nor the BLAS thread count changes a bit.
 
 Returned per region:
 
@@ -26,10 +32,11 @@ Returned per region:
 * companion-rule estimates when the ``four_difference`` error model is on.
 
 Callers may pass a :class:`SweepScratch` to keep steady-state iterations
-allocation-free: the chunk temporaries (the point buffer, volumes,
-stacked estimates, fourth-difference work arrays) are reused across
-chunks and iterations instead of reallocated — shared across chunks only
-on backends that run them serially.
+allocation-free: the chunk temporaries (the lattice or point buffer, the
+lattice folds' temporaries, volumes, stacked estimates, fourth-difference
+work arrays) are reused across chunks and iterations instead of
+reallocated — shared across chunks only on backends that run them
+serially.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import numpy as np
 
 from repro.backends import BackendLike, get_backend
 from repro.cubature.rules import FOURTH_DIFF_RATIO, RULE_CACHE, GenzMalikRule
+from repro.integrands.base import Integrand, Lattice
 
 #: reference chunk grain, in point floats (regions * points * ndim): sets
 #: how many regions share a chunk, and so the size of the chunk's
@@ -123,13 +131,14 @@ def _error_from_estimates(
 class SweepScratch:
     """Reusable per-run scratch for the evaluate sweep's chunk temporaries.
 
-    Owns the point buffer, volume vector, stacked rule estimates and
-    fourth-difference work arrays that :func:`compute_chunk` writes, so
-    reusing one scratch across chunks makes steady-state iterations
-    allocate O(1) new arrays.  Buffers are flat, keyed by role, and grow
-    monotonically in size; a chunk borrows a C-contiguous view of the
-    leading elements reshaped to its own shape (the region axis is the
-    last one), so a scratch serves exactly **one chunk at a time** —
+    Owns the lattice or point buffer, the lattice folds' temporaries, the
+    volume vector, stacked rule estimates and fourth-difference work
+    arrays that :func:`compute_chunk` writes, so reusing one scratch
+    across chunks makes steady-state iterations allocate O(1) new arrays.
+    Buffers are flat, keyed by role, and grow monotonically in size; a
+    chunk borrows a C-contiguous view of the leading elements reshaped to
+    its own shape (the region axis is the last one), so a scratch serves
+    exactly **one chunk at a time** —
     :func:`evaluate_regions` only shares it across chunks on backends
     that run them serially (``concurrent_chunks`` False).
     """
@@ -156,18 +165,32 @@ class SweepScratch:
 def _tile_values(bk, dr, integrand, hT, cT, scratch: SweepScratch):
     """Integrand values ``(p, w)`` at the points of one tile of ``w`` regions.
 
-    The tile's points go into the scratch's ``(n, p, w)`` ``pts`` buffer:
-    coordinate j of point q in region r is ``ref[q, j] * h[r, j] +
-    c[r, j]``, with the region axis innermost.  The integrand gets the
-    F-contiguous ``(p * w, n)`` view, whose column j is the contiguous
-    row ``pts[j]``; point i = q * w + r.
+    An :class:`~repro.integrands.base.Integrand` whose ``fn`` accepts a
+    lattice (``lattice`` set: the paper and Genz integrands) gets the
+    tile as a :class:`~repro.integrands.base.Lattice`: the scratch's ``(n, 7, w)``
+    ``lat`` buffer holds ``off[v] * h[r, j] + c[r, j]`` for the rule's 7
+    distinct offsets, with the region axis innermost, and the rule's
+    ``index`` says which entry each point takes.  Any other callable gets
+    the points in the scratch's ``(n, p, w)`` ``pts`` buffer: coordinate j
+    of point q in region r is ``ref[q, j] * h[r, j] + c[r, j]``, passed as
+    the F-contiguous ``(p * w, n)`` view, whose column j is the
+    contiguous row ``pts[j]``.  Both are the same multiply-then-add on
+    the same offsets, so a point's coordinates have the same bits either
+    way; point i = q * w + r.
     """
     n, w = hT.shape
     p = dr.points.shape[0]
-    pts = scratch.take("pts", (n, p, w))
-    np.multiply(dr.points.T[:, :, None], hT[:, None, :], out=pts)
-    np.add(pts, cT[:, None, :], out=pts)
-    return bk.map_integrand(integrand, pts.reshape(n, p * w).T).reshape(p, w)
+    if isinstance(integrand, Integrand) and integrand.lattice:
+        lat = scratch.take("lat", (n, dr.offsets.shape[0], w))
+        np.multiply(dr.offsets[None, :, None], hT[:, None, :], out=lat)
+        np.add(lat, cT[:, None, :], out=lat)
+        points = Lattice(lat, dr.index, scratch)
+    else:
+        pts = scratch.take("pts", (n, p, w))
+        np.multiply(dr.points.T[:, :, None], hT[:, None, :], out=pts)
+        np.add(pts, cT[:, None, :], out=pts)
+        points = pts.reshape(n, p * w).T
+    return bk.map_integrand(integrand, points).reshape(p, w)
 
 
 def compute_chunk(
@@ -192,10 +215,10 @@ def compute_chunk(
     ``bk``'s array type; ``dr`` is the matching
     :class:`~repro.cubature.rules.DeviceRule`.
 
-    Points are built and passed to the integrand one tile of at most
-    ``_TILE_FLOATS`` point floats at a time (see :func:`_tile_values`),
-    so a large chunk never materialises all its points; a chunk that
-    fits in one tile makes a single integrand call.  A point's value
+    The integrand is called one tile of at most ``_TILE_FLOATS`` point
+    floats at a time (see :func:`_tile_values`), on a lattice or on
+    points, so a large chunk never materialises all its points; a chunk
+    that fits in one tile makes a single integrand call.  A point's value
     does not depend on how many points share the call, so the tile size
     changes no bit.  The rule contraction, error model and fourth
     differences then run once over the chunk's ``(p, mc)`` values.

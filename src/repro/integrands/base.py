@@ -4,42 +4,117 @@ Integrators in this package accept any batch callable ``(N, n) -> (N,)``;
 :class:`Integrand` adds the metadata the benchmark harnesses and the device
 cost model consume.  :class:`ScalarIntegrand` adapts plain scalar functions
 (convenient, but orders of magnitude slower — the vectorized path is the
-first-class citizen, per the HPC guides).
+first-class citizen, per the HPC guides).  :class:`Lattice` is the
+evaluate sweep's compact form of a tile of rule points; an integrand
+written with :func:`fold_columns` accepts it as well as points, and
+declares so through :attr:`Integrand.lattice`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
 
+class Lattice:
+    """The points of one tile of Genz–Malik regions, stored per coordinate.
+
+    Every rule offset is one of ``k = 7`` values (0, ±λ2, ±λ3 = ±λ4,
+    ±λ5), so coordinate ``j`` of all ``p`` points of a region takes only
+    ``k`` values.  ``values`` ``(n, k, w)`` holds them for ``w`` regions,
+    ``values[j, v, r] = off[v] * h[r, j] + c[r, j]``, and ``index``
+    ``(p, n)`` names each point's entry: point ``i = q * w + r`` has
+    coordinate ``j`` equal to ``values[j, index[q, j], r]``.  ``len()``
+    is the number of points the lattice stands for, ``p * w``, and
+    integrands that accept a lattice return their values in that point
+    order.  :func:`fold_columns` takes a lattice wherever it takes an
+    ``(N, n)`` point array.
+
+    ``scratch``, when given, lends the folds their temporaries: any
+    object with the evaluate sweep's ``take(name, shape, dtype)``.
+    Reusing them across tiles keeps each fold to one fresh array, its
+    result.
+    """
+
+    __slots__ = ("values", "index", "scratch")
+
+    def __init__(
+        self, values: np.ndarray, index: np.ndarray, scratch: Any = None
+    ) -> None:
+        self.values = values
+        self.index = index
+        self.scratch = scratch
+
+    def __len__(self) -> int:
+        return self.index.shape[0] * self.values.shape[2]
+
+    def _temp(self, name: str, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
+        if self.scratch is None:
+            return np.empty(shape, dtype=dtype)
+        return self.scratch.take(f"{name}_{np.dtype(dtype).name}", shape, dtype)
+
+
+Points = Union[np.ndarray, Lattice]
+
+
 def fold_columns(
     ufunc: np.ufunc,
-    x: np.ndarray,
+    x: Points,
     term: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    dtype: Any = np.float64,
+    ncols: Optional[int] = None,
 ) -> np.ndarray:
-    """Fold ``term(j, x[:, j], out)`` over the columns of ``x`` with
-    ``ufunc`` (``np.add`` for a sum, ``np.multiply`` for a product), in
-    ascending ``j``.
+    """Fold ``term(j, x[:, j], out)`` over the first ``ncols`` (default:
+    all) columns of ``x`` with ``ufunc`` (``np.add`` for a sum,
+    ``np.multiply`` for a product, ``np.logical_and`` for a ``bool``
+    mask), in ascending ``j``.
 
-    ``term`` writes column ``j``'s contribution into ``out`` and returns
-    it.  The fold order is the column order whatever ``x``'s memory
-    layout, so a point's value has the same bits on C- and F-ordered
-    points and however many points share the call.  On the evaluate
-    sweep's F-contiguous points every column is a contiguous row.
+    ``term`` writes column ``j``'s contribution into ``out`` (of
+    ``dtype``) and returns it.  The fold order is the column order
+    whatever ``x``'s memory layout, so a point's value has the same bits
+    on C- and F-ordered points and however many points share the call.
+    On the evaluate sweep's F-contiguous points every column is a
+    contiguous row.
+
+    On a :class:`Lattice`, ``term`` runs on the ``(k, w)`` lattice row of
+    each coordinate instead of its ``p * w`` point values, and one row
+    gather ``index[:, j]`` spreads the result to the points before the
+    ``ufunc``.  Each point's term has the same input bits as on the
+    points, and the fold keeps the column order, so the result is the
+    same array.
     """
+    if isinstance(x, Lattice):
+        return _fold_lattice(ufunc, x, term, dtype, ncols)
     cols = x.T
-    acc = term(0, cols[0], np.empty_like(cols[0], dtype=np.float64))
-    if len(cols) > 1:
+    ncols = ncols or len(cols)
+    acc = term(0, cols[0], np.empty(len(cols[0]), dtype=dtype))
+    if ncols > 1:
         buf = np.empty_like(acc)
-        for j in range(1, len(cols)):
+        for j in range(1, ncols):
             ufunc(acc, term(j, cols[j], buf), out=acc)
     return acc
 
 
-def weighted_sum(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _fold_lattice(ufunc, lat: Lattice, term, dtype, ncols) -> np.ndarray:
+    values, index = lat.values, lat.index
+    ncols = ncols or len(values)
+    row = lat._temp("fold_row", values.shape[1:], dtype)
+    # mode="clip" (the index is in range): take's default "raise" mode
+    # copies through a temporary when given ``out``
+    acc = np.take(term(0, values[0], row), index[:, 0], axis=0, mode="clip")
+    if ncols > 1:
+        buf = lat._temp("fold_buf", acc.shape, dtype)
+        for j in range(1, ncols):
+            np.take(term(j, values[j], row), index[:, j], axis=0, out=buf,
+                    mode="clip")
+            ufunc(acc, buf, out=acc)
+    return acc.reshape(-1)
+
+
+def weighted_sum(x: Points, coeffs: np.ndarray) -> np.ndarray:
     """``Σ_j coeffs[j] · x[:, j]`` as a column fold (see :func:`fold_columns`)."""
     return fold_columns(
         np.add, x, lambda j, xj, out: np.multiply(xj, coeffs[j], out=out)
@@ -87,21 +162,18 @@ class Integrand:
     #: rebuild the (deterministic) integrand locally; integrands without
     #: a spec fall back to pickling the callable.
     spec: Optional[str] = field(default=None, repr=False)
+    #: ``fn`` also accepts a :class:`Lattice`: its arithmetic is folds of
+    #: per-coordinate terms (:func:`fold_columns`) and functions applied
+    #: per point, as in every paper and Genz integrand.  The evaluate
+    #: sweep then skips building the point buffer.  False for arbitrary
+    #: callables and the transforms, which always receive points.
+    lattice: bool = field(default=False, repr=False)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: Points) -> np.ndarray:
         return self.fn(points)
 
     def with_name(self, name: str) -> "Integrand":
-        return Integrand(
-            fn=self.fn,
-            ndim=self.ndim,
-            name=name,
-            reference=self.reference,
-            flops_per_eval=self.flops_per_eval,
-            sign_definite=self.sign_definite,
-            notes=self.notes,
-            spec=self.spec,
-        )
+        return dataclasses.replace(self, name=name)
 
 
 class ScalarIntegrand:

@@ -20,7 +20,9 @@ Family catalogue (all on [0,1]^d):
 
 Sums and products over the coordinates are column-wise folds
 (:func:`~repro.integrands.base.fold_columns`), for the reason given in
-:mod:`repro.integrands.paper`.
+:mod:`repro.integrands.paper`; like the paper's integrands, each ``fn``
+also accepts a :class:`~repro.integrands.base.Lattice`
+(``lattice=True``).
 """
 
 from __future__ import annotations
@@ -204,10 +206,11 @@ def make_genz(
     elif family is GenzFamily.DISCONTINUOUS:
 
         def fn(x: np.ndarray) -> np.ndarray:
-            cols = x.T
-            inside = cols[0] <= u[0]
-            if ndim >= 2:
-                inside &= cols[1] <= u[1]
+            inside = fold_columns(
+                np.logical_and, x,
+                lambda j, xj, out: np.less_equal(xj, u[j], out=out),
+                dtype=bool, ncols=min(2, ndim),
+            )
             s = weighted_sum(x, a)
             return np.exp(s, out=np.zeros_like(s), where=inside)
 
@@ -223,6 +226,7 @@ def make_genz(
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D genz-{family.value}(seed={seed})",
         reference=ref,

@@ -18,7 +18,10 @@ value would depend on how many regions shared its chunk or on whether the
 caller passed C- or F-ordered points.  The fold has one order, so a point
 gets the same bits whatever the chunk grain, backend, BLAS threads or
 layout; on the evaluate sweep's F-contiguous points each column is a
-contiguous row.
+contiguous row.  Because the folds and the outer functions are all
+they do, each ``fn`` also accepts the evaluate sweep's
+:class:`~repro.integrands.base.Lattice` and says so with
+``lattice=True``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ def f1_oscillatory(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f1",
         reference=_osc_reference(coeffs),
@@ -85,6 +89,7 @@ def f2_product_peak(ndim: int = 6) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f2",
         reference=factor_1d**ndim,
@@ -129,6 +134,7 @@ def f3_corner_peak(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f3",
         reference=_corner_reference_exact(ndim),
@@ -155,6 +161,7 @@ def f4_gaussian(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f4",
         reference=factor_1d**ndim,
@@ -180,6 +187,7 @@ def f5_c0(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f5",
         reference=factor_1d**ndim,
@@ -201,15 +209,16 @@ def f6_discontinuous(ndim: int = 6) -> Integrand:
         ref *= (exp(rates[i] * cuts[i]) - 1.0) / rates[i]
 
     def fn(x: np.ndarray) -> np.ndarray:
-        cols = x.T
-        inside = cols[0] < cuts[0]
-        for j in range(1, ndim):
-            inside &= cols[j] < cuts[j]
+        inside = fold_columns(
+            np.logical_and, x,
+            lambda j, xj, out: np.less(xj, cuts[j], out=out), dtype=bool,
+        )
         s = weighted_sum(x, rates)
         return np.exp(s, out=np.zeros_like(s), where=inside)
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f6",
         reference=ref,
@@ -235,6 +244,7 @@ def f7_box11(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f7",
         reference=float(box_moment_exact(ndim, 11)),
@@ -260,6 +270,7 @@ def f8_box15(ndim: int = 8) -> Integrand:
 
     return Integrand(
         fn=fn,
+        lattice=True,
         ndim=ndim,
         name=f"{ndim}D f8",
         reference=_b15(ndim),

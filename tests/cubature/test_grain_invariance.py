@@ -9,7 +9,9 @@ The stacked rule contraction is a grain-sensitive site for every
 integrand; the cases add the integrands' own sites: the catalogue's
 ``Σ c_i x_i`` sums (paper f1, f3, f6; Genz oscillatory, corner peak and
 discontinuous), the column-wise sums and products of f2, f4, f5 and f7,
-and ``gaussian_measure``'s ``z Lᵀ``.
+and ``gaussian_measure``'s ``z Lᵀ``.  Paper and Genz integrands fold
+on a coordinate lattice; the same integrands stripped of their lattice
+form fold on points, and must give the same bits at every grain.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from repro.backends import get_backend
 from repro.cubature.evaluation import evaluate_regions
 from repro.cubature.rules import get_rule
+from repro.integrands.base import Integrand
 from repro.integrands.catalog import named_integrand
 from repro.integrands.transforms import gaussian_measure
 
@@ -82,6 +85,34 @@ def test_evaluate_regions_bits_independent_of_grain_and_backend(case, lane):
             **budget,
         )
         where = f"{case} on {lane} at {grain or 'reference'} regions/chunk"
+        np.testing.assert_array_equal(got.estimate, ref.estimate, err_msg=where)
+        np.testing.assert_array_equal(got.error, ref.error, err_msg=where)
+        np.testing.assert_array_equal(
+            got.split_axis, ref.split_axis, err_msg=where
+        )
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if case != "gaussian_measure"]
+)
+def test_lattice_and_point_paths_agree_at_every_grain(case):
+    """Paper and Genz integrands evaluate on a coordinate lattice;
+    stripped of their lattice form they take the point path, with the
+    same bits at every grain."""
+    f = CASES[case]()
+    assert f.lattice
+    stripped = Integrand(fn=f.fn, ndim=f.ndim)
+    rule = get_rule(f.ndim)
+    centers, halfw = _regions(f.ndim)
+    ref = evaluate_regions(rule, centers, halfw, f, error_model="cascade")
+    for grain in GRAINS:
+        budget = {} if grain is None else {
+            "chunk_budget": grain * rule.npoints * f.ndim
+        }
+        got = evaluate_regions(
+            rule, centers, halfw, stripped, error_model="cascade", **budget
+        )
+        where = f"{case} points at {grain or 'reference'} regions/chunk"
         np.testing.assert_array_equal(got.estimate, ref.estimate, err_msg=where)
         np.testing.assert_array_equal(got.error, ref.error, err_msg=where)
         np.testing.assert_array_equal(

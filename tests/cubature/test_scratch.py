@@ -51,7 +51,7 @@ def test_scratch_buffers_are_reused_across_calls(rng):
     h = np.full((20, ndim), 0.05)
     compute_chunk(bk, dr, f, c, h, "cascade", scratch=scratch)
     first = {name: id(buf) for name, buf in scratch._bufs.items()}
-    assert "pts" in first and "est" in first
+    assert "lat" in first and "fold_buf_float64" in first and "est" in first
     # Same-size and smaller chunks must not allocate fresh buffers.
     compute_chunk(bk, dr, f, c, h, "cascade", scratch=scratch)
     compute_chunk(bk, dr, f, c[:7], h[:7], "cascade", scratch=scratch)
