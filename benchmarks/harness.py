@@ -466,11 +466,9 @@ PROCESS_MAX_ITERATIONS = 35
 
 #: routing: auto wall clock may exceed the best fixed backend by at most
 #: this factor (smoke runs relax it: timer noise on sub-second traces is
-#: larger than the margin under test); shm must beat pickling on >=
-#: ROUTING_IPC_MIN_CORES cores
+#: larger than the margin under test)
 ROUTING_AUTO_MAX_RATIO = 1.10
 ROUTING_AUTO_MAX_RATIO_SMOKE = 1.50
-ROUTING_IPC_MIN_CORES = 4
 ROUTING_TINY_REL_TOL = 1e-3
 
 #: workload space: one canonical transform spec per family
@@ -924,7 +922,7 @@ def scenario_process(smoke: bool) -> tuple:
     )]
 
 
-# --- routing: auto vs every fixed backend, and the process IPC transports ----
+# --- routing: auto vs every fixed backend -----------------------------------
 def routing_tiny_trace(smoke: bool = False) -> List[Integrand]:
     """Small-job traffic: the shape that punishes a pinned pool."""
     return _catalogue(
@@ -959,7 +957,7 @@ def _sweep_pool(spec, bk, members):
 
 def scenario_routing(smoke: bool) -> tuple:
     """``backend="auto"`` within a bound of the best fixed backend on a
-    tiny-job trace and the fused fig5/fig6 sweep; shm vs pickling IPC.
+    tiny-job trace and the fused fig5/fig6 sweep.
 
     On the fused sweep every process pool, auto's routed one included,
     is started before its lane's timed region and closed after it.  The
@@ -967,20 +965,11 @@ def scenario_routing(smoke: bool) -> tuple:
     builds a pool there (the serial guard) and none is started: forked
     workers would only tax the parent's page writes."""
     from repro.backends import new_backend
-    from repro.backends.process import (
-        ProcessNumpyBackend,
-        process_pool_available,
-        shared_memory_available,
-    )
 
-    # Probe before any lane: the first shared-memory segment starts the
-    # resource tracker, a separate interpreter whose start-up would
-    # otherwise overlap the first timed process lane and the lane after.
-    ipc_lanes = process_pool_available() and shared_memory_available()
-    sweep = process_bench_members(smoke=smoke)
     shapes = (
         ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace, False),
-        ("fused sweep", sweep, _fused_sweep, True),
+        ("fused sweep", process_bench_members(smoke=smoke), _fused_sweep,
+         True),
     )
     max_ratio = ROUTING_AUTO_MAX_RATIO_SMOKE if smoke else ROUTING_AUTO_MAX_RATIO
     rows, checks = [], []
@@ -1008,26 +997,6 @@ def scenario_routing(smoke: bool) -> tuple:
         checks.append(_check(f"{workload}: auto / best fixed ({best})",
                              ratio, max_ratio, ratio <= max_ratio))
 
-    if ipc_lanes:
-        cpus = os.cpu_count() or 1
-        width = max(2, cpus)
-        rates = {}
-        for ipc in ("shm", "pickle"):
-            bk = ProcessNumpyBackend(num_workers=width, ipc=ipc)
-            try:
-                bk.start()
-                results, wall = _timed(_fused_sweep, sweep, bk)
-            finally:
-                bk.close()
-            row = _row("fused sweep", f"process:{width} {ipc}", wall, results,
-                       all(map(_same_bits, results, reference)))
-            rows.append(row)
-            rates[ipc] = row["s_per_meval"]
-        speedup = rates["pickle"] / rates["shm"]
-        checks.append(_check(
-            "shm speedup vs pickle", speedup, 1.0, speedup >= 1.0,
-            enforced=cpus >= ROUTING_IPC_MIN_CORES,
-        ))
     return rows, checks
 
 

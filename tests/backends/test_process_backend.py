@@ -11,6 +11,7 @@ lifecycle, and the graceful fallback for unshippable integrands.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,22 @@ def test_end_to_end_integrate_bit_identical_via_remote_path():
     get_backend("process:2").close()
 
 
+def test_fine_grain_remote_run_matches_default_numpy_run():
+    """Many small shipped chunks (chunk_budget=40_000) against the numpy
+    reference at its default grain: the same bits and the same work."""
+    f = named_integrand("3D-f4")  # ships by spec: the remote path runs
+    bk = _process_backend(2)
+    try:
+        cfg = PaganiConfig(rel_tol=1e-4, backend=bk, chunk_budget=40_000)
+        got = PaganiIntegrator(cfg).integrate(f, 3)
+    finally:
+        bk.close()
+    ref = integrate(f, 3, rel_tol=1e-4)
+    assert got.estimate == ref.estimate
+    assert got.errorest == ref.errorest
+    assert got.neval == ref.neval
+
+
 def test_unshippable_integrand_falls_back_and_matches(gaussian3):
     """A closure integrand cannot ship; results must still match numpy."""
     ref = integrate(gaussian3, 3, rel_tol=1e-4)
@@ -111,11 +128,66 @@ def test_unshippable_integrand_falls_back_and_matches(gaussian3):
     assert got.errorest == ref.errorest
 
 
+def test_pickled_user_callable_runs_remote_bit_identical():
+    """A module-level user callable ships as pickled bytes (no catalogue
+    spec); the workers' results stitch to the numpy bits."""
+    assert shippable_integrand(_peak_integrand)[0] == "pickle"
+    results = {}
+    for spec in ("numpy", "process:2"):
+        cfg = PaganiConfig(
+            rel_tol=1e-5, max_iterations=8, backend=spec,
+            chunk_budget=40_000,
+        )
+        results[spec] = PaganiIntegrator(cfg).integrate(_peak_integrand, 3)
+    get_backend("process:2").close()
+    ref, got = results["numpy"], results["process:2"]
+    assert got.estimate == ref.estimate
+    assert got.errorest == ref.errorest
+    assert got.neval == ref.neval
+
+
+def test_chunk_payload_is_its_slices_plus_a_reference():
+    """What crosses to a worker is the chunk's own center/halfwidth
+    slices and a small integrand reference, and what comes back is the
+    three per-region vectors: no rule tensors, no whole-sweep arrays."""
+    import pickle
+
+    bk = _process_backend(2)
+    try:
+        tasks = _deferred_tasks(bk, named_integrand("3D-f4"))
+        for task in tasks:
+            spec = task.remote_spec
+            assert set(spec) == {
+                "integrand", "ndim", "error_model", "centers", "halfwidths",
+            }
+            assert spec["integrand"] == ("spec", "3d-f4")
+            arrays = spec["centers"].nbytes + spec["halfwidths"].nbytes
+            assert len(pickle.dumps(spec)) < arrays + 1024
+        import repro.backends.process as proc
+
+        out = proc._eval_chunk_in_worker(tasks[0].remote_spec)
+        mc = len(tasks[0].remote_spec["centers"])
+        assert sum(a.nbytes for a in out) == 3 * mc * 8
+    finally:
+        bk.close()
+
+
 # ---------------------------------------------------------------------------
 # Failure semantics
 # ---------------------------------------------------------------------------
 def _sum_integrand(x):
     return np.sum(x, axis=1)
+
+
+def _peak_integrand(x):
+    return np.exp(-10.0 * np.sum((x - 0.5) ** 2, axis=1))
+
+
+def _slow_first_chunk_integrand(x):
+    # only the first chunk of the staggered sweep reaches below x0 = 0.2
+    if x[:, 0].min() < 0.2:
+        time.sleep(0.3)
+    return np.exp(-np.sum(x, axis=1))
 
 
 def _raising_integrand(x):
@@ -144,6 +216,35 @@ def _deferred_tasks(bk, integrand):
     assert len(tasks) == 4
     assert all(t.remote_spec is not None for t in tasks)
     return tasks
+
+
+def test_out_of_order_completion_stitches_each_chunk_in_place():
+    """The first chunk's worker finishes last; every chunk's results
+    still land in its own regions, bit-identical to numpy."""
+    rule = get_rule(3)
+    m = 16
+    centers = np.full((m, 3), 0.5)
+    centers[:, 0] = np.linspace(0.1, 0.9, m)  # 4 regions per chunk
+    halfw = np.full((m, 3), 0.05)
+    budget = rule.npoints * 3 * 4
+    ref = evaluate_regions(
+        rule, centers, halfw, _slow_first_chunk_integrand,
+        chunk_budget=budget,
+    )
+    bk = _process_backend(2)
+    try:
+        got, tasks = evaluate_regions(
+            rule, centers, halfw, _slow_first_chunk_integrand,
+            chunk_budget=budget, backend=bk, defer=True,
+        )
+        assert len(tasks) == 4
+        assert all(t.remote_spec is not None for t in tasks)
+        bk.run_chunks(tasks)
+    finally:
+        bk.close()
+    np.testing.assert_array_equal(got.estimate, ref.estimate)
+    np.testing.assert_array_equal(got.error, ref.error)
+    np.testing.assert_array_equal(got.split_axis, ref.split_axis)
 
 
 def test_worker_exception_propagates_like_serial():
@@ -216,21 +317,16 @@ def test_close_is_idempotent_and_pool_rebuilds():
     bk.close()
 
 
-def test_started_pool_shares_the_parent_resource_tracker():
-    """start() forks the workers before any shared-memory segment
-    exists; they must still share the parent's resource tracker, or each
-    starts its own on first attach and unlinks the parent's arenas as
-    "leaked" when it exits.  Run in a fresh interpreter, where no
-    tracker is up yet."""
+def test_started_pool_runs_clean_in_a_fresh_interpreter():
+    """start(), a fused integrate_many on ``process:2`` and close() in a
+    fresh interpreter, where no pool or helper process is up yet: the
+    run exits 0 and writes nothing to stderr (no worker tracebacks, no
+    leak warnings at shutdown)."""
     import subprocess
     import sys
     from pathlib import Path
 
-    from repro.backends.process import shared_memory_available
-
     _process_backend(2).close()
-    if not shared_memory_available():  # pragma: no cover - sandbox
-        pytest.skip("no shared memory on this host")
     script = (
         "from repro.api import integrate_many\n"
         "from repro.backends import ProcessNumpyBackend\n"
@@ -251,7 +347,38 @@ def test_started_pool_shares_the_parent_resource_tracker():
         text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "leaked" not in proc.stderr, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_start_builds_the_pool_the_sweeps_then_use():
+    """start() builds the pool up front; a second start() and the
+    following integrations reuse it instead of building another.  At
+    width 1 there is nothing to start."""
+    bk = _process_backend(2)
+    try:
+        bk.start()
+        pool = bk._pool
+        assert pool is not None
+        assert 0 < len(pool._processes) <= bk.num_workers
+        bk.start()
+        assert bk._pool is pool
+        integrate(named_integrand("3D-f4"), 3, rel_tol=1e-3, backend=bk)
+        assert bk._pool is pool
+    finally:
+        bk.close()
+    solo = _process_backend(1)
+    solo.start()
+    assert solo._pool is None
+
+
+def test_constructor_takes_only_the_pool_width():
+    """The pool width is the backend's one knob: there is a single
+    transport, so no transport argument is accepted."""
+    import inspect
+
+    params = inspect.signature(ProcessNumpyBackend.__init__).parameters
+    assert list(params) == ["self", "num_workers"]
+    assert repr(_process_backend(3)) == "<ProcessNumpyBackend workers=3>"
 
 
 def test_width_one_pool_runs_serially():
@@ -310,61 +437,6 @@ def test_pool_probe_positive_on_this_host():
         proc._POOL_PROBE = None
 
 
-def test_rejects_unknown_ipc_transport():
-    from repro.backends.process import process_pool_available
-
-    if not process_pool_available():
-        pytest.skip("no process pool on this host")
-    with pytest.raises(ValueError):
-        ProcessNumpyBackend(num_workers=2, ipc="carrier-pigeon")
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory IPC: bit-identity vs the pickle transport and numpy
-# ---------------------------------------------------------------------------
-def test_shm_and_pickle_transports_bit_identical():
-    from repro.backends.process import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("no shared memory on this host")
-    f = named_integrand("3D-f4")  # ships by spec: the remote path runs
-    results = {}
-    for ipc in ("shm", "pickle"):
-        bk = _process_backend(2)
-        bk.ipc = ipc
-        try:
-            cfg = PaganiConfig(rel_tol=1e-4, backend=bk, chunk_budget=40_000)
-            results[ipc] = PaganiIntegrator(cfg).integrate(f, 3)
-        finally:
-            bk.close()
-    ref = integrate(f, 3, rel_tol=1e-4)
-    for ipc, res in results.items():
-        assert res.estimate == ref.estimate, ipc
-        assert res.errorest == ref.errorest, ipc
-        assert res.neval == ref.neval, ipc
-
-
-def test_shm_probe_failure_degrades_transport_to_pickle(monkeypatch):
-    """A host that cannot create segments reports shm unavailable and
-    the backend silently degrades to the pickle transport."""
-    import multiprocessing.shared_memory as sm
-
-    import repro.backends.process as proc
-
-    def _no_shm(*args, **kwargs):
-        raise OSError("no /dev/shm on this host")
-
-    monkeypatch.setattr(proc, "_SHM_PROBE", None)
-    monkeypatch.setattr(sm, "SharedMemory", _no_shm)
-    assert proc.shared_memory_available() is False
-    bk = _process_backend(2)
-    try:
-        assert bk.ipc == "shm"
-        assert bk.effective_ipc == "pickle"
-    finally:
-        bk.close()
-
-
 # ---------------------------------------------------------------------------
 # Worker-side internals, exercised in-process.  The functions pool
 # workers run are plain module functions; calling them here pins the
@@ -385,7 +457,7 @@ def test_worker_chunk_paths_match_direct_compute(rng):
     dr = RULE_CACHE.device_rule(get_rule(ndim), bk)
     ref = compute_chunk(bk, dr, f, centers, halfw, "two_rule")
 
-    # Pickle transport: the whole chunk spec crosses as one payload.
+    # The whole chunk spec crosses as one pickled payload.
     got = proc._eval_chunk_in_worker({
         "integrand": ("spec", "3d-f4"), "ndim": ndim,
         "error_model": "two_rule", "centers": centers, "halfwidths": halfw,
@@ -393,55 +465,14 @@ def test_worker_chunk_paths_match_direct_compute(rng):
     for a, b in zip(got, ref):
         np.testing.assert_array_equal(a, b)
 
-    # Shm transport: inputs read from the input arena, results written
-    # into the output arena slot — and they must be the same bits.
-    in_arena, out_arena = proc._ShmArena(), proc._ShmArena()
-    count = mc * ndim
-    in_arena.ensure(2 * count * 8)
-    out_arena.ensure(mc * 24)
-    in_name, out_name = in_arena.name, out_arena.name
-    try:
-        np.frombuffer(
-            in_arena.shm.buf, np.float64, count, 0
-        ).reshape(mc, ndim)[:] = centers
-        np.frombuffer(
-            in_arena.shm.buf, np.float64, count, count * 8
-        ).reshape(mc, ndim)[:] = halfw
-        proc._eval_chunk_shm(
-            (in_name, out_name, 0, 0, mc, ndim, "two_rule",
-             ("spec", "3d-f4"))
-        )
-        est = np.frombuffer(out_arena.shm.buf, np.float64, mc, 0).copy()
-        err = np.frombuffer(
-            out_arena.shm.buf, np.float64, mc, mc * 8
-        ).copy()
-        axis = np.frombuffer(
-            out_arena.shm.buf, np.int64, mc, mc * 16
-        ).copy()
-        np.testing.assert_array_equal(est, ref[0])
-        np.testing.assert_array_equal(err, ref[1])
-        np.testing.assert_array_equal(axis, ref[2])
-    finally:
-        for name in (in_name, out_name):
-            seg = proc._worker_segments.pop(name, None)
-            if seg is not None:
-                try:
-                    seg.close()
-                except BufferError:
-                    pass
-        in_arena.release()
-        out_arena.release()
-
 
 def test_worker_integrand_refs_content_addressed(monkeypatch):
     import hashlib
     import pickle
-    from multiprocessing import shared_memory
 
     import repro.backends.process as proc
 
     blob = pickle.dumps(_sum_integrand)
-    digest = hashlib.sha256(blob).hexdigest()
 
     monkeypatch.setattr(proc, "_worker_integrands", {})
     by_spec = proc._resolve_worker_integrand(("spec", "3d-f4"))
@@ -450,76 +481,13 @@ def test_worker_integrand_refs_content_addressed(monkeypatch):
     by_pickle = proc._resolve_worker_integrand(("pickle", blob))
     assert by_pickle(np.ones((2, 3))).tolist() == [3.0, 3.0]
 
-    # A shm ref whose digest already arrived inline is served from the
-    # cache: no attach happens (the segment name is deliberately bogus).
-    same = proc._resolve_worker_integrand(
-        ("shm", ("no-such-segment", len(blob), digest))
-    )
-    assert same is by_pickle
-
-    # A cold worker attaches the segment and unpickles from it.
-    seg = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    seg.buf[: len(blob)] = blob
-    try:
-        monkeypatch.setattr(proc, "_worker_integrands", {})
-        fresh = proc._resolve_worker_integrand(
-            ("shm", (seg.name, len(blob), digest))
-        )
-        assert fresh(np.ones((2, 3))).tolist() == [3.0, 3.0]
-    finally:
-        attached = proc._worker_segments.pop(seg.name, None)
-        if attached is not None:
-            try:
-                attached.close()
-            except BufferError:
-                pass
-        proc._release_shm(seg)
-
-
-def test_worker_segment_cache_evicts_at_cap(monkeypatch):
-    from collections import OrderedDict
-    from multiprocessing import shared_memory
-
-    import repro.backends.process as proc
-
-    monkeypatch.setattr(proc, "_worker_segments", OrderedDict())
-    monkeypatch.setattr(proc, "_WORKER_SEGMENT_CAP", 2)
-    segs = [shared_memory.SharedMemory(create=True, size=64)
-            for _ in range(3)]
-    try:
-        proc._worker_attach_shm(segs[0].name)
-        proc._worker_attach_shm(segs[1].name)
-        proc._worker_attach_shm(segs[0].name)  # refresh -> LRU is segs[1]
-        proc._worker_attach_shm(segs[2].name)  # evicts segs[1]'s mapping
-        assert set(proc._worker_segments) == {segs[0].name, segs[2].name}
-    finally:
-        for seg in list(proc._worker_segments.values()):
-            try:
-                seg.close()
-            except BufferError:
-                pass
-        proc._worker_segments.clear()
-        for seg in segs:
-            proc._release_shm(seg)
-
-
-def test_parent_integrand_blocks_are_lru_capped(monkeypatch):
-    import repro.backends.process as proc
-
-    monkeypatch.setattr(proc, "_INTEGRAND_SHM_CAP", 1)
-    bk = _process_backend(2)
-    try:
-        # spec refs pass through untouched — nothing to stage
-        assert bk._ship_integrand(("spec", "3d-f4")) == ("spec", "3d-f4")
-        ref_a = bk._ship_integrand(("pickle", b"a" * 16))
-        ref_b = bk._ship_integrand(("pickle", b"b" * 16))  # evicts a's block
-        assert ref_a[0] == ref_b[0] == "shm"
-        assert len(bk._integrand_shms) == 1
-        # the surviving blob dedupes onto its existing segment
-        assert bk._ship_integrand(("pickle", b"b" * 16)) == ref_b
-    finally:
-        bk.close()
-    assert not bk._integrand_shms
+    # Equal bytes from a fresh pickling hit the same digest-keyed entry:
+    # the callable is unpickled once per worker, not once per chunk.
+    again = pickle.dumps(_sum_integrand)
+    assert proc._resolve_worker_integrand(("pickle", again)) is by_pickle
+    assert set(proc._worker_integrands) == {
+        ("spec", "3d-f4"), ("pickle", hashlib.sha256(blob).digest()),
+    }
 
 
 def test_submit_race_with_closed_pool_surfaces_crash_error():
@@ -563,27 +531,3 @@ def test_parallel_path_overlaps_unshippable_chunks():
             bk.run_chunks(list(_deferred_tasks(bk, f)) + [_FailingTask()])
     finally:
         bk.close()
-
-
-def test_shm_arena_reuse_and_clean_close():
-    from repro.backends.process import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("no shared memory on this host")
-    bk = _process_backend(2)
-    if bk.effective_ipc != "shm":
-        bk.close()
-        pytest.skip("shm transport not active")
-    f = named_integrand("3D-f4")
-    try:
-        cfg = PaganiConfig(rel_tol=1e-3, backend=bk, chunk_budget=40_000)
-        PaganiIntegrator(cfg).integrate(f, 3)
-        first = (bk._in_arena.size, bk._out_arena.size)
-        assert first[0] > 0 and first[1] > 0
-        PaganiIntegrator(cfg).integrate(f, 3)
-        # Same-shaped job: the arenas are reused, not reallocated.
-        assert (bk._in_arena.size, bk._out_arena.size) == first
-    finally:
-        bk.close()
-    assert bk._in_arena.size == 0
-    assert bk._out_arena.size == 0
