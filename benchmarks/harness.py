@@ -29,6 +29,7 @@ measured separately by pytest-benchmark in ``bench_kernels.py``.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -470,6 +471,9 @@ PROCESS_MAX_ITERATIONS = 35
 ROUTING_AUTO_MAX_RATIO = 1.10
 ROUTING_AUTO_MAX_RATIO_SMOKE = 1.50
 ROUTING_TINY_REL_TOL = 1e-3
+#: every tiny-trace lane takes tens of milliseconds, so each is timed
+#: as the median of this many repetitions (the fused sweep runs once)
+ROUTING_TINY_REPEATS = 5
 
 #: workload space: one canonical transform spec per family
 SCENARIO_TRANSFORMS = (
@@ -950,7 +954,7 @@ def _sweep_pool(spec, bk, members):
     from repro.backends.routing import BackendRouter
 
     if spec == "auto":
-        routed = BackendRouter().decide_batch([f.ndim for f in members])
+        routed = BackendRouter().decide([f.ndim for f in members])
         bk = get_backend(routed.backend)
     return bk if isinstance(bk, ProcessNumpyBackend) else None
 
@@ -963,30 +967,35 @@ def scenario_routing(smoke: bool) -> tuple:
     is started before its lane's timed region and closed after it.  The
     tiny trace's plain runs evaluate one chunk per sweep, so no lane
     builds a pool there (the serial guard) and none is started: forked
-    workers would only tax the parent's page writes."""
+    workers would only tax the parent's page writes.  Each tiny-trace
+    lane's wall time is the median of ``ROUTING_TINY_REPEATS`` runs."""
     from repro.backends import new_backend
 
     shapes = (
-        ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace, False),
+        ("tiny trace", routing_tiny_trace(smoke=smoke), _tiny_trace, False,
+         ROUTING_TINY_REPEATS),
         ("fused sweep", process_bench_members(smoke=smoke), _fused_sweep,
-         True),
+         True, 1),
     )
     max_ratio = ROUTING_AUTO_MAX_RATIO_SMOKE if smoke else ROUTING_AUTO_MAX_RATIO
     rows, checks = [], []
-    for workload, members, run_shape, fans_out in shapes:
+    for workload, members, run_shape, fans_out, repeats in shapes:
         _warm_rules(members)
         walls, reference = {}, None
         for spec in _host_lanes() + ["auto"]:
             bk = spec if spec == "auto" else new_backend(spec)
             pool = _sweep_pool(spec, bk, members) if fans_out else None
+            gc.collect()  # no lane pays for an earlier lane's garbage
             try:
                 if pool is not None:
                     pool.start()
-                results, walls[spec] = _timed(run_shape, members, bk)
+                runs = [_timed(run_shape, members, bk) for _ in range(repeats)]
             finally:
                 for owned in {bk, pool}:
                     if hasattr(owned, "close"):
                         owned.close()
+            results = runs[0][0]
+            walls[spec] = statistics.median(wall for _, wall in runs)
             if reference is None:
                 reference = results
             rows.append(_row(workload, spec, walls[spec], results,

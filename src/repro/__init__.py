@@ -32,7 +32,6 @@ from repro.api import (
     IntegrationRequest,
     integrate,
     integrate_many,
-    integrate_request,
     integrate_sweep,
     serve_http,
     serve_jobs,
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "integrate",
     "integrate_many",
-    "integrate_request",
     "integrate_sweep",
     "IntegrationRequest",
     "serve_jobs",

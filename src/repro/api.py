@@ -10,7 +10,7 @@ Many independent integrals go through the batched entry point, which
 interleaves their PAGANI iterations over one shared backend::
 
     from repro import integrate_many
-    results = integrate_many([f, g, h], rel_tol=1e-6, backend="threaded")
+    results = integrate_many([f, g, h], rel_tol=1e-6, backend="auto")
 
 A *stream* of requests — with priorities, cancellation and a result
 cache — goes through the service layer (:mod:`repro.service`); the
@@ -192,21 +192,119 @@ class IntegrationRequest:
         return cfg
 
 
-def integrate_request(
+def integrate(
     integrand: Callable[[np.ndarray], np.ndarray],
     ndim: int,
-    request: IntegrationRequest,
-    *,
+    bounds: Optional[Sequence[Sequence[float]]] = None,
+    rel_tol: float = 1e-3,
+    abs_tol: float = 1e-20,
+    method: str = "pagani",
     device: Optional[VirtualDevice] = None,
+    relerr_filtering: Optional[bool] = None,
     max_eval: Optional[int] = None,
+    max_iterations: Optional[int] = None,
+    backend: BackendLike = None,
+    escalation=None,
+    request: Optional[IntegrationRequest] = None,
 ) -> IntegrationResult:
-    """Integrate under the canonical :class:`IntegrationRequest` options.
+    """Integrate a batch callable over an axis-aligned box.
 
-    The unified core that :func:`integrate`'s keyword shim delegates to;
-    ``device`` and ``max_eval`` stay out of the request because they are
-    execution environment / baseline-budget concerns, not part of the
-    cacheable request identity.
+    The keyword arguments below construct an :class:`IntegrationRequest`
+    (pass ``request=`` to supply one directly, in which case it wins
+    wholesale over the per-option keywords).  ``device`` and
+    ``max_eval`` stay out of the request: they are execution
+    environment and baseline-budget concerns, not part of the cacheable
+    request identity.
+
+    Parameters
+    ----------
+    integrand:
+        Batch callable ``(N, ndim) -> (N,)`` (wrap scalar functions with
+        :class:`~repro.integrands.ScalarIntegrand`).
+    ndim:
+        Dimensionality, 2..20 for the cubature methods.
+    bounds:
+        ``(ndim, 2)`` low/high pairs; unit cube by default.
+    rel_tol / abs_tol:
+        Termination tolerances (paper defaults: τ_abs = 1e-20 so τ_rel
+        governs).
+    method:
+        ``"pagani"`` (default), ``"cuhre"``, ``"two_phase"``, ``"qmc"``
+        or ``"vegas"``.
+    device:
+        Virtual device for the GPU methods (memory-scaled V100 by default).
+    relerr_filtering:
+        The §3.5.1 user flag; set False for integrands that oscillate in
+        sign.  When None, it is read from the integrand's ``sign_definite``
+        attribute if present.
+    max_eval:
+        Evaluation budget for cuhre/qmc.
+    max_iterations:
+        Iteration cap for the breadth-first methods.
+    backend:
+        Execution backend for the PAGANI hot path: ``"numpy"`` (default),
+        ``"threaded"`` / ``"threaded:<N>"``, ``"process"`` /
+        ``"process:<N>"``, or an
+        :class:`~repro.backends.base.ArrayBackend` instance.  Host
+        backends produce results identical to the NumPy reference; see
+        :mod:`repro.backends`.  ``"auto"`` routes this call through the
+        process-wide :class:`~repro.backends.routing.BackendRouter`:
+        ``process:<N>`` when the job's first-sweep evaluations reach
+        one measured threshold and the host has a pool of two or more
+        workers, ``numpy`` otherwise (a pure function of the job and the
+        host, so the same job always routes the same way).  Only
+        ``method="pagani"`` accepts a non-default backend.
+    escalation:
+        Baseline escalation policy for failed PAGANI runs — ``None``
+        (off, default), ``"default"``, an explicit ladder string like
+        ``"two_phase>vegas>qmc"``, or an
+        :class:`~repro.service.escalation.EscalationPolicy`.  See
+        :class:`IntegrationRequest`.
+
+    Returns
+    -------
+    IntegrationResult
+        With ``true_value`` filled in when the integrand carries a
+        ``reference`` attribute.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro import integrate
+    >>> res = integrate(
+    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
+    ... )
+    >>> res.converged
+    True
+    >>> bool(abs(res.estimate - 0.4165384) < 1e-4)
+    True
+
+    Host backends are bit-identical to the reference, so swapping the
+    execution substrate never changes the numbers:
+
+    >>> fast = integrate(
+    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
+    ...     backend="threaded",
+    ... )
+    >>> fast.estimate == res.estimate
+    True
+
+    ``backend="auto"`` picks the backend per job (tiny sweeps stay on
+    numpy; big ones go to a process pool when the host has cores):
+
+    >>> routed = integrate(
+    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
+    ...     backend="auto",
+    ... )
+    >>> routed.estimate == res.estimate
+    True
     """
+    if request is None:
+        request = IntegrationRequest(
+            bounds=bounds, rel_tol=rel_tol, abs_tol=abs_tol, backend=backend,
+            max_iterations=max_iterations, relerr_filtering=relerr_filtering,
+            method=method, escalation=escalation,
+        )
     request.validate()
     method = request.method
     if (
@@ -229,9 +327,7 @@ def integrate_request(
         if isinstance(backend, str) and backend == "auto":
             from repro.backends.routing import shared_router
 
-            backend = shared_router().decide(
-                ndim=ndim, rel_tol=request.rel_tol
-            ).backend
+            backend = shared_router().decide([ndim]).backend
         cfg = request.to_pagani_config(integrand, backend=backend)
         if policy is not None and request.max_iterations is None:
             # the stall watchdog: bound the PAGANI attempt so a
@@ -286,119 +382,6 @@ def integrate_request(
     return result
 
 
-def integrate(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    ndim: int,
-    bounds: Optional[Sequence[Sequence[float]]] = None,
-    rel_tol: float = 1e-3,
-    abs_tol: float = 1e-20,
-    method: str = "pagani",
-    device: Optional[VirtualDevice] = None,
-    relerr_filtering: Optional[bool] = None,
-    max_eval: Optional[int] = None,
-    max_iterations: Optional[int] = None,
-    backend: BackendLike = None,
-    escalation=None,
-    request: Optional[IntegrationRequest] = None,
-) -> IntegrationResult:
-    """Integrate a batch callable over an axis-aligned box.
-
-    A thin shim over :func:`integrate_request`: the keyword arguments
-    below construct an :class:`IntegrationRequest` (pass ``request=`` to
-    supply one directly, in which case it wins wholesale over the
-    per-option keywords).
-
-    Parameters
-    ----------
-    integrand:
-        Batch callable ``(N, ndim) -> (N,)`` (wrap scalar functions with
-        :class:`~repro.integrands.ScalarIntegrand`).
-    ndim:
-        Dimensionality, 2..20 for the cubature methods.
-    bounds:
-        ``(ndim, 2)`` low/high pairs; unit cube by default.
-    rel_tol / abs_tol:
-        Termination tolerances (paper defaults: τ_abs = 1e-20 so τ_rel
-        governs).
-    method:
-        ``"pagani"`` (default), ``"cuhre"``, ``"two_phase"``, ``"qmc"``
-        or ``"vegas"``.
-    device:
-        Virtual device for the GPU methods (memory-scaled V100 by default).
-    relerr_filtering:
-        The §3.5.1 user flag; set False for integrands that oscillate in
-        sign.  When None, it is read from the integrand's ``sign_definite``
-        attribute if present.
-    max_eval:
-        Evaluation budget for cuhre/qmc.
-    max_iterations:
-        Iteration cap for the breadth-first methods.
-    backend:
-        Execution backend for the PAGANI hot path: ``"numpy"`` (default),
-        ``"threaded"`` / ``"threaded:<N>"``, ``"process"`` /
-        ``"process:<N>"``, or an
-        :class:`~repro.backends.base.ArrayBackend` instance.  Host
-        backends produce results identical to the NumPy reference; see
-        :mod:`repro.backends`.  ``"auto"`` routes this call through the
-        process-wide :class:`~repro.backends.routing.BackendRouter`
-        (cheapest adequate backend for the job's predicted first-sweep
-        cost — a fixed cost model, so the same job on the same host
-        always routes the same way, whatever ran before it).  Only
-        ``method="pagani"`` accepts a non-default backend.
-    escalation:
-        Baseline escalation policy for failed PAGANI runs — ``None``
-        (off, default), ``"default"``, an explicit ladder string like
-        ``"two_phase>vegas>qmc"``, or an
-        :class:`~repro.service.escalation.EscalationPolicy`.  See
-        :class:`IntegrationRequest`.
-
-    Returns
-    -------
-    IntegrationResult
-        With ``true_value`` filled in when the integrand carries a
-        ``reference`` attribute.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import integrate
-    >>> res = integrate(
-    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
-    ... )
-    >>> res.converged
-    True
-    >>> bool(abs(res.estimate - 0.4165384) < 1e-4)
-    True
-
-    Host backends are bit-identical to the reference, so swapping the
-    execution substrate never changes the numbers:
-
-    >>> fast = integrate(
-    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
-    ...     backend="threaded",
-    ... )
-    >>> fast.estimate == res.estimate
-    True
-
-    ``backend="auto"`` picks the backend per job (tiny sweeps stay on
-    numpy; big ones go to a process pool when the host has cores):
-
-    >>> routed = integrate(
-    ...     lambda x: np.exp(-np.sum(x**2, axis=1)), ndim=3, rel_tol=1e-4,
-    ...     backend="auto",
-    ... )
-    >>> routed.estimate == res.estimate
-    True
-    """
-    if request is None:
-        request = IntegrationRequest(
-            bounds=bounds, rel_tol=rel_tol, abs_tol=abs_tol, backend=backend,
-            max_iterations=max_iterations, relerr_filtering=relerr_filtering,
-            method=method, escalation=escalation,
-        )
-    return integrate_request(
-        integrand, ndim, request, device=device, max_eval=max_eval
-    )
 
 
 def integrate_sweep(
@@ -542,7 +525,7 @@ def integrate_many(
         chunk grain (``preferred_batch_chunk_budget``), and the grain
         never changes a bit.  ``"auto"`` routes the whole batch through
         the process-wide :class:`~repro.backends.routing.BackendRouter`
-        using the summed first-sweep cost of all members.
+        by the members' summed first-sweep evaluations.
     device_spec:
         Virtual-device spec for each member (memory-scaled V100 default —
         the same device a plain :func:`integrate` call builds).
@@ -636,9 +619,7 @@ def integrate_many(
     if isinstance(backend, str) and backend == "auto":
         from repro.backends.routing import shared_router
 
-        backend = shared_router().decide_batch(
-            ndims, rel_tol=request.rel_tol
-        ).backend
+        backend = shared_router().decide(ndims).backend
 
     bk = get_backend(backend)
     budget = PaganiConfig.resolve_chunk_budget(bk)
@@ -697,8 +678,8 @@ def serve_jobs(
         Forwarded to :class:`~repro.service.IntegrationService`
         (``shards=K`` serves the queue with ``K`` independent worker
         rotations, each pinned to its own backend instance;
-        ``backend="auto"`` routes each admitted job to the cheapest
-        adequate backend).
+        ``backend="auto"`` routes each admitted job by its first-sweep
+        size; see :mod:`repro.backends.routing`).
     service:
         Use an existing service instead of building one.  The caller
         keeps ownership: the service is *not* shut down and may hold
@@ -775,8 +756,8 @@ def serve_http(
         ``server.port`` / ``server.url``.
     max_concurrent / backend / shards / cache_entries / collect_traces:
         Forwarded to :class:`~repro.service.IntegrationService`
-        (``backend="auto"`` routes each job by its predicted first-sweep
-        cost).
+        (``backend="auto"`` routes each job by its first-sweep size; see
+        :mod:`repro.backends.routing`).
     cache_dir:
         When given, results are also persisted to a SQLite store under
         this directory (:class:`~repro.service.TieredResultCache`):

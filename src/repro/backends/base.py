@@ -155,9 +155,14 @@ class ArrayBackend(abc.ABC):
 
 
 def resolve_workers(num_threads: Optional[int]) -> int:
-    """Clamp a worker-count request to [1, 32], defaulting to the host CPUs."""
+    """Clamp a worker-count request to [1, 32], defaulting to the CPUs
+    this process may run on (its affinity mask where the platform has
+    one, so ``taskset`` and cpusets count; else the host's CPU count)."""
     import os
 
     if num_threads is None:
-        num_threads = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            num_threads = len(os.sched_getaffinity(0))
+        else:
+            num_threads = os.cpu_count() or 1
     return max(1, min(32, int(num_threads)))

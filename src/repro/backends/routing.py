@@ -1,37 +1,29 @@
-"""Backend routing: pick the cheapest adequate backend per job.
+"""Backend routing: ``backend="auto"`` by one measured size threshold.
 
-Jobs differ by orders of magnitude: a 100-region 2D probe should not
-pay process-pool IPC, and a million-region 6D sweep should not crawl on
-single-core numpy.  ``backend="auto"`` routes each job (or fused batch)
-instead of pinning one backend for all of them:
+PAGANI evaluates and splits every live region in one parallel sweep
+per iteration, and the first breadth-first sweep sets a run's shape:
+``splits_for(ndim) ** ndim`` regions, each evaluated at the Genz–Malik
+rule's point count (:func:`first_sweep_evals`; a batch sums its
+members').  ``auto`` only picks which host substrate runs those sweeps:
 
-1. **Score the job.**  PAGANI evaluates and splits every live region
-   in one parallel sweep per iteration, and the first breadth-first
-   sweep sets a run's shape: ``splits_for(ndim) ** ndim`` regions, each
-   evaluated at the Genz–Malik rule's point count.  A batch sums its
-   members' first sweeps.
-2. **Price the candidates.**  Predicted first-sweep seconds =
-   ``s/Meval × Mevals + per-sweep dispatch overhead``, from the
-   constants :data:`S_PER_MEVAL`, :data:`BATCH_GAIN` and
-   :data:`SWEEP_OVERHEAD_S` and the pool width.
-3. **Dispatch.**  Cheapest predicted candidate wins: numpy for tiny
-   jobs, ``process:N`` for big sweeps.  Adequacy is never in question
-   (the candidates are bit-identical by the conformance contract); the
-   decision only moves *where* the same bits are computed, so it never
-   enters cache identity.
+* ``process:<W>`` when a process pool is available, it is at least two
+  workers wide (``W`` = the usable CPUs), and the first-sweep
+  evaluations reach :data:`PROCESS_MIN_EVALS`;
+* ``numpy`` otherwise.
 
-A decision is a pure function of the summed first-sweep evaluations,
-the context (plain or batch), the pool width and whether a process
-pool is available.  Nothing is learned from earlier runs, so the same
-job on the same host always routes the same way, whatever ran before
-it.  A non-``auto`` override (per-job ``JobSpec.backend``, or an
-explicit spec anywhere a backend is accepted) bypasses the policy.
+Every candidate computes the same bits (the conformance contract), so
+the decision only moves *where* they are computed and never enters
+cache identity.  It is a pure function of the job and the host:
+nothing is learned from earlier runs, so the same job on the same host
+always routes the same way, whatever ran before it.  A non-``auto``
+override (per-job ``JobSpec.backend``, or an explicit spec anywhere a
+backend is accepted) bypasses the policy.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import resolve_workers
@@ -40,67 +32,49 @@ from repro.backends.process import process_pool_available
 #: spec string that selects routing instead of a concrete backend
 AUTO_SPEC = "auto"
 
-#: The rungs *below* every array backend in the routing hierarchy.
-#: Routing moves a PAGANI job between bit-identical execution
-#: substrates; when PAGANI itself cannot finish (``MEMORY_EXHAUSTED``,
-#: iteration watchdog), no substrate helps — the last resort is a
-#: different *algorithm*.  These baseline integrators are priced as the
-#: final candidates in that order (cheapest adequate first, mirroring
-#: the committed bench ordering) and are reachable only through the
-#: escalation policy (:mod:`repro.service.escalation`), never by the
-#: per-job backend router: an escalated result changes the numbers, so
-#: it must change the fingerprint too — routing's contract is that it
-#: never does.
-BASELINE_LAST_RESORT = ("two_phase", "vegas", "qmc")
-
-#: s/Meval prior per backend family: the median converged row of one
-#: run of the backends benchmark (``harness.py backends``) on a 1-core
-#: host, frozen here and not re-derived when the committed benchmark
-#: files are regenerated.  Constants, so an installed package routes
-#: exactly like a repo checkout; the routing-decision pin tests in
-#: tests/backends/test_routing.py guard them.
-S_PER_MEVAL = {
-    "numpy": 0.08323953586962293,
-    "process": 0.11419745649987567,
-}
-
-#: batched-throughput gain over batched numpy (the batch benchmark's
-#: batched-seconds ratios, frozen from one run on the same host) — the
-#: *chunk-grain* effect: numpy keeps the reference decomposition
-#: (16M-float chunks) while process batches at its throughput-tuned
-#: grain, which wins even serially (cache locality), before any
-#: parallel speedup.
-BATCH_GAIN = {
-    "numpy": 1.0,
-    "process": 2.1497454304363384,
-}
-
-#: fixed per-sweep dispatch cost (seconds) a backend pays before any
-#: evaluation happens: pool hand-off, chunk submission, result stitch.
-#: This is what routes tiny jobs to numpy even when a pool is idle.
-SWEEP_OVERHEAD_S = {
-    "numpy": 0.0,
-    "process": 2e-2,
-}
-
-#: fraction of ideal speedup a width-W pool retains (stitching and the
-#: parent's serial share eat the rest)
-PROCESS_PARALLEL_EFFICIENCY = 0.75
+#: Summed first-sweep evaluations from which ``auto`` sends a job (or a
+#: fused batch) to ``process:<W>``.  Picked from fresh-interpreter runs
+#: on a 2-CPU host (one call each, pool not pre-started,
+#: ``OPENBLAS_NUM_THREADS=1``, rel_tol 1e-4 for batches and 1e-3 for
+#: plain runs; median seconds of 5 runs, bits identical on both lanes):
+#:
+#: =====================================  =========  =====  =========
+#: shape                                  evals      numpy  process:2
+#: =====================================  =========  =====  =========
+#: plain 5D-f4                              290,625  0.088      0.091
+#: batch 4D-f2+4D-f4+4D-f5                  410,571  0.253      0.373
+#: plain 7D-f4                              527,067  3.661      2.256
+#: batch 5D-f4+4D-f4+4D-f5                  564,339  0.235      0.346
+#: batch 5D-f4+5D-f5                        581,250  0.748      0.850
+#: plain 6D-f4                              610,304  0.370      0.342
+#: batch perfbench sweep_auto members       991,200  0.469      0.448
+#: plain 8D-f7                            2,630,961  0.112      0.104
+#: batch 8D-f7+8D-f3                      5,261,922  0.741      0.898
+#: =====================================  =========  =====  =========
+#:
+#: No single size separates the lanes.  A threshold in (410,571,
+#: 527,067] misroutes three shapes for 0.37 s in all; the next-best
+#: place, in (581,250, 610,304], misroutes plain 7D-f4 and the 8D batch
+#: for 1.56 s.  Pinned to one CPU, a one-worker pool lost to numpy on
+#: both batches tried (8D-f7+8D-f3 1.18 s against 0.75 s, 5D-f4+5D-f5
+#: 0.82 against 0.74 s), so width 1 never routes to it.  The crossover
+#: on hosts with 4 or more cores is unmeasured: there this constant
+#: sends more work to numpy than it needs to, and the nightly
+#: multi-core routing benchmark is the check.
+PROCESS_MIN_EVALS = 500_000
 
 
-def first_sweep_evals(ndim: int, initial_splits: Optional[int] = None) -> int:
+def first_sweep_evals(ndim: int) -> int:
     """Evaluations the first breadth-first sweep performs.
 
     Mirrors :meth:`repro.core.pagani.PaganiConfig.splits_for` ×
-    the Genz–Malik point count — the quantity the routing score is
-    built on (regions × points; each evaluation touches ``ndim``
-    coordinates, which is folded into the measured s/Meval priors).
+    the Genz–Malik point count: the size the routing threshold is
+    compared against.
     """
     from repro.core.pagani import PaganiConfig
     from repro.cubature.rules import get_rule
 
-    splits = PaganiConfig(initial_splits=initial_splits).splits_for(ndim)
-    return (splits ** ndim) * get_rule(ndim).npoints
+    return (PaganiConfig().splits_for(ndim) ** ndim) * get_rule(ndim).npoints
 
 
 @dataclass
@@ -109,8 +83,7 @@ class RoutingDecision:
 
     backend: str  #: resolved spec string, e.g. ``"numpy"``/``"process:4"``
     reason: str
-    evals: float = 0.0  #: predicted first-sweep evaluations
-    predicted_seconds: Dict[str, float] = field(default_factory=dict)
+    evals: int = 0  #: summed first-sweep evaluations (0 for an override)
 
     @property
     def forced(self) -> bool:
@@ -118,13 +91,13 @@ class RoutingDecision:
 
 
 class BackendRouter:
-    """Scores jobs with the static cost model and picks the cheapest.
+    """Routes jobs by :data:`PROCESS_MIN_EVALS`.
 
     Parameters
     ----------
     process_width:
-        Pool width the ``process`` candidate is priced (and dispatched)
-        at; default ``resolve_workers(None)`` — one worker per CPU.
+        Pool width ``process`` is dispatched at; default
+        ``resolve_workers(None)``, one worker per usable CPU.
     process:
         Availability override for tests; ``None`` probes the host.
 
@@ -146,100 +119,34 @@ class BackendRouter:
         self._decisions: Dict[str, int] = {}
         self.last_decision: Optional[RoutingDecision] = None
 
-    # ------------------------------------------------------------------
-    # Pricing
-    # ------------------------------------------------------------------
-    def _candidates(self, context: str = "plain") -> List[str]:
-        out = ["numpy"]
-        if self._process and (self.process_width > 1 or context == "batch"):
-            # Even a width-1 process backend earns its place in *batch*
-            # traffic: it never builds a pool there (the serial guard),
-            # but its throughput-tuned fused chunk grain beats numpy's
-            # reference decomposition on big sweeps.
-            out.append(f"process:{self.process_width}")
-        return out
+    def _candidates(self) -> List[str]:
+        """The specs ``auto`` can resolve to on this host.  A one-wide
+        pool only adds dispatch to numpy's work, so it is never one."""
+        if self._process and self.process_width >= 2:
+            return ["numpy", f"process:{self.process_width}"]
+        return ["numpy"]
 
-    def predict_seconds(
-        self, spec: str, evals: float, context: str = "plain"
-    ) -> float:
-        """Predicted first-sweep seconds for one candidate spec
-        (``"numpy"`` or ``"process[:N]"``).
-
-        ``context`` is ``"plain"`` for a solo :func:`repro.api.integrate`
-        run (every backend keeps the reference chunk decomposition) or
-        ``"batch"`` for work executed through the batch scheduler
-        (:func:`repro.api.integrate_many`, the service rotation), where
-        process switches to its fused grain and gains
-        :data:`BATCH_GAIN` over numpy before any parallelism.
-        """
-        family = spec.partition(":")[0]
-        mevals = evals / 1e6
-        if family == "process":
-            width = int(spec.partition(":")[2] or self.process_width)
-            grain = BATCH_GAIN["process"] if context == "batch" else 1.0
-            # The bench prior measured *some* pool; scale the serial
-            # rate by the batch-grain gain (batch context only) and this
-            # width's ideal speedup, degraded by the stitch/serial share
-            # — take whichever is more optimistic.
-            rate = min(
-                S_PER_MEVAL["numpy"]
-                / grain
-                / max(1.0, width * PROCESS_PARALLEL_EFFICIENCY),
-                S_PER_MEVAL["process"] / grain,
-            )
-        else:
-            rate = S_PER_MEVAL[family]
-        return rate * mevals + SWEEP_OVERHEAD_S[family]
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
     def decide(
-        self,
-        ndim: int,
-        rel_tol: float = 1e-3,
-        initial_splits: Optional[int] = None,
-        override: Optional[str] = None,
-        context: str = "plain",
+        self, ndims: Sequence[int], override: Optional[str] = None
     ) -> RoutingDecision:
-        """Route one job; ``override`` (non-``auto``) short-circuits.
-
-        ``context="batch"`` prices the job as batch-scheduler work (the
-        service rotation): see :meth:`predict_seconds`.
-        """
-        return self.decide_batch(
-            [ndim], rel_tol=rel_tol, initial_splits=initial_splits,
-            override=override, context=context,
-        )
-
-    def decide_batch(
-        self,
-        ndims: Sequence[int],
-        rel_tol: float = 1e-3,
-        initial_splits: Optional[int] = None,
-        override: Optional[str] = None,
-        context: str = "batch",
-    ) -> RoutingDecision:
-        """Route a fused batch: one backend for the summed member work."""
-        if context not in ("plain", "batch"):
-            raise ValueError(f"context must be 'plain' or 'batch', got {context!r}")
+        """Route one job (``ndims=[ndim]``) or a fused batch (its
+        members' dimensions); ``override`` (non-``auto``) short-circuits."""
         if override is not None and override != AUTO_SPEC:
             decision = RoutingDecision(backend=override, reason="override")
         else:
-            evals = float(
-                sum(first_sweep_evals(ndim, initial_splits) for ndim in ndims)
+            evals = sum(first_sweep_evals(ndim) for ndim in ndims)
+            big = evals >= PROCESS_MIN_EVALS
+            candidates = self._candidates()
+            reason = (
+                f"{evals} first-sweep evals {'>=' if big else '<'} "
+                f"{PROCESS_MIN_EVALS}"
             )
-            predicted = {
-                spec: self.predict_seconds(spec, evals, context)
-                for spec in self._candidates(context)
-            }
-            # stable min: ties go to the earliest candidate (numpy)
-            best = min(predicted, key=lambda s: (predicted[s], s != "numpy"))
+            if len(candidates) == 1:
+                reason += ", no pool of 2+ workers"
             decision = RoutingDecision(
-                backend=best,
-                reason=f"cheapest of {len(predicted)} candidates",
+                backend=candidates[-1] if big else "numpy",
+                reason=reason,
                 evals=evals,
-                predicted_seconds=predicted,
             )
         with self._lock:
             family = decision.backend.partition(":")[0]
@@ -253,7 +160,7 @@ class BackendRouter:
         with self._lock:
             return {
                 "process_width": self.process_width,
-                "candidates": self._candidates("batch"),
+                "candidates": self._candidates(),
                 "decisions": dict(self._decisions),
             }
 

@@ -105,8 +105,8 @@ def main(argv: Optional[list] = None) -> int:
     run.add_argument(
         "--backend", default="numpy",
         help="execution backend for PAGANI: one of "
-        f"{backend_spec_help()} (default numpy), or auto (route to the "
-        "cheapest adequate backend); unavailable backends fall back to "
+        f"{backend_spec_help()} (default numpy), or auto (numpy, or a "
+        "process pool for jobs past one first-sweep size); unavailable backends fall back to "
         "numpy with a warning",
     )
     run.add_argument(
@@ -147,7 +147,7 @@ def main(argv: Optional[list] = None) -> int:
         f"{backend_spec_help()} (every backend gives results "
         "bit-identical to sequential runs; threaded/process fuse the "
         "members' evaluation chunks for throughput; auto routes the batch "
-        "by its summed first-sweep cost)",
+        "by its summed first-sweep size)",
     )
 
     serve = sub.add_parser(

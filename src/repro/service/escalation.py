@@ -5,9 +5,8 @@ dimensions the region list outgrows device memory and the run returns
 ``MEMORY_EXHAUSTED``.  A production service should do better than stop
 there — this module re-runs the failed job down a configured *ladder* of
 baseline integrators (default ``two_phase → vegas → qmc``, the
-last-resort rungs below every array backend in the routing hierarchy —
-see :data:`repro.backends.routing.BASELINE_LAST_RESORT`), stopping at
-the first rung that converges.
+last-resort rungs in :data:`BASELINE_LAST_RESORT`), stopping at the
+first rung that converges.
 
 Honesty contract
 ----------------
@@ -38,9 +37,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.backends.routing import BASELINE_LAST_RESORT
 from repro.core.result import EscalationStage, IntegrationResult, Status
 from repro.errors import ConfigurationError
+
+#: The baseline integrators a failed PAGANI job can fall back to.
+#: Backend routing moves a PAGANI job between bit-identical execution
+#: substrates; when PAGANI itself cannot finish (``MEMORY_EXHAUSTED``,
+#: iteration watchdog), no substrate helps — the last resort is a
+#: different *algorithm*.  Reachable only through an escalation policy,
+#: never by the per-job backend router: an escalated result changes the
+#: numbers, so it must change the fingerprint too, and routing never
+#: does.
+BASELINE_LAST_RESORT = ("two_phase", "vegas", "qmc")
 
 #: default ladder — cheapest adequate baseline first (mirrors the
 #: committed bench ordering; see docs/scenarios.md)
@@ -213,7 +221,7 @@ class EscalationPolicy:
         virtual device hosts one run at a time, so each stage builds its
         own.
         """
-        from repro.api import IntegrationRequest, integrate_request
+        from repro.api import IntegrationRequest, integrate
 
         stages: List[EscalationStage] = [_stage_from_result(first_result)]
         candidates: List[IntegrationResult] = [first_result]
@@ -232,8 +240,9 @@ class EscalationPolicy:
             )
             start = time.perf_counter()
             try:
-                stage_result = integrate_request(
-                    integrand, ndim, stage_request, max_eval=self.max_eval
+                stage_result = integrate(
+                    integrand, ndim, request=stage_request,
+                    max_eval=self.max_eval,
                 )
             except Exception as exc:  # a rung crashing must not kill the job
                 stages.append(

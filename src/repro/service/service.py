@@ -192,11 +192,11 @@ class IntegrationService:
         execute truly concurrently); a shared :class:`ArrayBackend`
         instance is honoured but serialises the shards on one pool.
         ``"auto"`` enables per-job routing: every admitted job is scored
-        by a :class:`~repro.backends.routing.BackendRouter` (a fixed
-        cost model over the job's first-sweep evaluations, the pool
-        width and pool availability — no feedback from earlier jobs, so
-        the same job always routes the same way) and runs on the
-        cheapest adequate backend.  The backend never enters the cache
+        by a :class:`~repro.backends.routing.BackendRouter`: a job whose
+        first-sweep evaluations reach one measured threshold runs on
+        the process pool when the host has two or more usable CPUs, any
+        other on numpy (no feedback from earlier jobs, so the same job
+        always routes the same way).  The backend never enters the cache
         fingerprint: every backend computes the same bits, so a job
         routed to ``process:2`` replays an entry ``numpy`` wrote.  A
         job's own ``JobSpec.backend`` always wins over both the pinned
@@ -603,8 +603,7 @@ class IntegrationService:
         override = spec.backend if spec.backend != "auto" else None
         if self._router is not None:
             target: Optional[str] = self._router.decide(
-                ndim=resolved.ndim, rel_tol=spec.rel_tol, override=override,
-                context="batch",  # jobs execute through the rotation
+                [resolved.ndim], override=override
             ).backend
         else:
             # On a pinned service an explicit "auto" defers to the pin —

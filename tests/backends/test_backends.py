@@ -166,13 +166,13 @@ def test_unavailable_probe_removes_router_candidate(monkeypatch):
     )
     router = BackendRouter(process_width=2)
     assert router._candidates() == ["numpy"]
+    assert router.decide([8]).backend == "numpy"
 
 
 def test_forced_probe_advertises_router_candidate():
     router = BackendRouter(process=True, process_width=2)
-    assert "process:2" in router._candidates()
-    decision = router.decide(6)
-    assert "process:2" in decision.predicted_seconds
+    assert router._candidates() == ["numpy", "process:2"]
+    assert router.decide([8]).backend == "process:2"
 
 
 # ---------------------------------------------------------------------------

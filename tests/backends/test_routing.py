@@ -12,14 +12,19 @@ import numpy as np
 import pytest
 
 from repro.api import integrate, integrate_many
+from repro.backends import routing
 from repro.backends.routing import (
     AUTO_SPEC,
+    PROCESS_MIN_EVALS,
     BackendRouter,
     first_sweep_evals,
     is_auto,
     shared_router,
 )
 from repro.integrands.catalog import named_integrand
+
+#: dimensions of perfbench's sweep_auto batch members
+SWEEP_AUTO_NDIMS = [4, 5, 4, 4, 3, 3, 3, 3]
 
 
 def router(**kw):
@@ -30,27 +35,10 @@ def router(**kw):
 
 
 # ---------------------------------------------------------------------------
-# Priors and the job score
+# The threshold
 # ---------------------------------------------------------------------------
-# Predicted seconds on the default priors, pinned to the values measured
-# while the priors were still read from the committed bench files.
-def test_batch_routing_decision_pinned():
-    """The members of perfbench's sweep_auto batch: routed to the pool."""
-    r = BackendRouter(process_width=2, process=True)
-    assert r.decide_batch([4, 5, 4, 4, 3, 3, 3, 3]).predicted_seconds == {
-        "numpy": 0.08250702795397025, "process:2": 0.045586604127113975,
-    }
-
-
-def test_plain_routing_decision_pinned():
-    r = BackendRouter(process_width=2, process=True)
-    assert r.decide(5, context="plain").predicted_seconds == {
-        "numpy": 0.024191490112109165, "process:2": 0.03612766007473944,
-    }
-
-
 def test_router_opens_no_file(monkeypatch):
-    """An installed package has no benchmarks/ tree to read priors from."""
+    """An installed package routes like a repo checkout: no file read."""
     import builtins
     import io
     from pathlib import Path
@@ -61,8 +49,8 @@ def test_router_opens_no_file(monkeypatch):
     for owner, name in ((builtins, "open"), (io, "open"), (Path, "open")):
         monkeypatch.setattr(owner, name, no_file)
     r = BackendRouter(process_width=2, process=True)
-    assert r.decide_batch([4, 5, 4, 4, 3, 3, 3, 3]).backend == "process:2"
-    assert r.decide(5, context="plain").backend == "numpy"
+    assert r.decide(SWEEP_AUTO_NDIMS).backend == "process:2"
+    assert r.decide([5]).backend == "numpy"
 
 
 def test_first_sweep_evals_grows_with_dimension():
@@ -76,64 +64,89 @@ def test_is_auto():
     assert not is_auto("numpy") and not is_auto(None) and not is_auto(3)
 
 
-# ---------------------------------------------------------------------------
-# Decision table
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "evals, width, expected",
+    [
+        (PROCESS_MIN_EVALS - 1, 2, "numpy"),
+        (PROCESS_MIN_EVALS, 2, "process:2"),
+        (PROCESS_MIN_EVALS - 1, 8, "numpy"),
+        (PROCESS_MIN_EVALS, 8, "process:8"),
+    ],
+)
+def test_threshold_boundary(monkeypatch, evals, width, expected):
+    monkeypatch.setattr(routing, "first_sweep_evals", lambda ndim: evals)
+    decision = router(process_width=width).decide([3])
+    assert decision.backend == expected
+    assert decision.evals == evals
+    assert not decision.forced
+
+
 @pytest.mark.parametrize(
     "ndim, kw, expected",
     [
-        # tiny sweep: pool/device dispatch overhead dominates
+        # tiny sweep: stays on numpy
         (2, dict(), "numpy"),
         (3, dict(), "numpy"),
-        # huge sweep: ideal-speedup pool wins despite its overhead
+        # big sweep: a pool as wide as the host
         (8, dict(), "process:8"),
         (8, dict(process_width=4), "process:4"),
         # no usable pool (or width 1): the reference backend carries it
         (8, dict(process=False), "numpy"),
         (8, dict(process_width=1), "numpy"),
+        # either side of the threshold
+        (5, dict(), "numpy"),
+        (7, dict(), "process:8"),
     ],
 )
 def test_decision_table(ndim, kw, expected):
-    decision = router(**kw).decide(ndim=ndim)
+    decision = router(**kw).decide([ndim])
     assert decision.backend == expected
     assert not decision.forced
     assert decision.evals == first_sweep_evals(ndim)
-    assert decision.backend in decision.predicted_seconds
+
+
+@pytest.mark.parametrize("ndims", [[3], [8], [8] * 4, SWEEP_AUTO_NDIMS])
+def test_one_wide_host_never_routes_to_a_one_worker_pool(ndims):
+    """A one-worker pool only adds dispatch to numpy's work."""
+    r = router(process_width=1)
+    assert r.decide(ndims).backend == "numpy"
+    assert r.stats()["candidates"] == ["numpy"]
+
+
+def test_sweep_auto_members_route_to_the_pool_on_two_cpus():
+    """perfbench's sweep_auto batch: every call goes to process:2."""
+    assert sum(map(first_sweep_evals, SWEEP_AUTO_NDIMS)) >= PROCESS_MIN_EVALS
+    r = BackendRouter(process_width=2, process=True)
+    assert r.decide(SWEEP_AUTO_NDIMS).backend == "process:2"
 
 
 def test_override_short_circuits_scoring():
-    decision = router().decide(ndim=8, override="threaded:2")
+    decision = router().decide([8], override="threaded:2")
     assert decision.backend == "threaded:2"
     assert decision.forced
-    assert decision.predicted_seconds == {}
+    assert decision.evals == 0
     # "auto" as an override means "no override": the policy runs.
-    assert router().decide(ndim=8, override="auto").backend == "process:8"
+    assert router().decide([8], override="auto").backend == "process:8"
 
 
-def test_decide_batch_prices_summed_work():
+def test_batch_is_routed_by_its_summed_work():
     r = router()
     # Each 3D member alone is too small for the pool...
-    assert r.decide(ndim=3).backend == "numpy"
-    # ...but forty of them fused into one batch saturate it.
-    assert r.decide_batch([3] * 40).backend == "process:8"
+    assert r.decide([3]).backend == "numpy"
+    # ...but ten of them fused into one batch reach the threshold.
+    assert r.decide([3] * 10).backend == "process:8"
 
 
-def test_batch_context_prefers_process_grain_even_serially():
-    """On a 1-wide host the process backend still wins *batch* traffic:
-    no pool is built (serial guard), but its fused chunk grain beats
-    numpy's reference decomposition — the measured BENCH_batch gain."""
-    r = router(process_width=1)
-    # Plain (solo-integrate) context: no pool, no grain edge -> numpy.
-    assert r.decide(ndim=8, context="plain").backend == "numpy"
-    # Batch context: the grain gain pays for itself on a big sweep...
-    assert r.decide_batch([8]).backend == "process:1"
-    # ...but not on a tiny one (dispatch overhead dominates).
-    assert r.decide_batch([3]).backend == "numpy"
+def test_host_width_counts_only_usable_cpus(monkeypatch):
+    """A process pinned to one CPU (taskset, a cpuset) sees width 1 and
+    routes everything to numpy, whatever the host's CPU count."""
+    import os
 
-
-def test_decide_batch_rejects_unknown_context():
-    with pytest.raises(ValueError):
-        router().decide_batch([3], context="cluster")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    r = BackendRouter(process=True)
+    assert r.process_width == 1
+    assert r.decide([8]).backend == "numpy"
 
 
 def test_host_router_candidates_are_numpy_and_the_process_pool():
@@ -151,7 +164,7 @@ def test_decisions_are_thread_safe():
     def spin():
         try:
             for _ in range(200):
-                r.decide(ndim=3)
+                r.decide([3])
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -198,8 +211,8 @@ def test_routing_does_not_depend_on_history():
     ndims = [f.ndim for f in members]
     integrate_many(members, rel_tol=1e-3, backend="auto")
     assert (
-        shared_router().decide_batch(ndims).backend
-        == BackendRouter().decide_batch(ndims).backend
+        shared_router().decide(ndims).backend
+        == BackendRouter().decide(ndims).backend
     )
 
 
@@ -242,8 +255,9 @@ def test_service_auto_fingerprint_does_not_depend_on_history():
 
     service = IntegrationService(backend="auto")
     try:
-        # 6D routes to the process pool in batch context on any host
-        # with a usable pool, 3D to numpy.
+        # 6D reaches the routing threshold, so it runs on the process
+        # pool where the host has one at least two wide (numpy
+        # elsewhere); 3D always runs on numpy.
         first = service.submit_spec(JobSpec("6D-f4", rel_tol=1e-2))
         first.wait()
         service.submit_spec(JobSpec("3D-f4", rel_tol=1e-3)).wait()

@@ -126,7 +126,7 @@ def test_from_request_rejects_non_pagani_methods():
         )
 
 
-def test_integrate_request_kwarg_matches_kwargs_path():
+def test_request_kwarg_matches_kwargs_path():
     from repro.integrands.catalog import named_integrand
 
     f = named_integrand("3d-f4")
