@@ -68,17 +68,22 @@ def test_evaluate_single_region_overhead(benchmark):
     "ndim, grain",
     [
         (8, ThreadedNumpyBackend.preferred_batch_chunk_budget),
+        (5, ProcessNumpyBackend.preferred_batch_chunk_budget),
+        (8, ProcessNumpyBackend.preferred_batch_chunk_budget),
         (5, _CHUNK_BUDGET),
         (8, _CHUNK_BUDGET),
     ],
-    ids=["8D-threaded", "5D-reference", "8D-reference"],
+    ids=["8D-threaded", "5D-process", "8D-process", "5D-reference",
+         "8D-reference"],
 )
 def test_compute_chunk(benchmark, ndim, grain):
     """One evaluate chunk at a lane's grain, with a warm reused scratch.
 
-    At the threaded grain an 8D chunk holds about 40 regions, so the
-    per-point rule loop's ufunc overhead shows; at the reference grain
-    the points are built and evaluated in several tiles.
+    At the threaded grain an 8D chunk holds about 40 regions and at the
+    process grain (1 Mi point floats) a 5D chunk holds 2,255 and an 8D
+    one 326, so the per-row ufunc calls of the orbit sums (one per
+    point, each over the chunk's regions) weigh most there; at the
+    reference grain the points are built and evaluated in several tiles.
     """
     bk = get_backend("numpy")
     rule = get_rule(ndim)

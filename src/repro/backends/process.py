@@ -113,6 +113,8 @@ def process_pool_available() -> bool:
 # ---------------------------------------------------------------------------
 _worker_numpy_backend: Optional[NumpyBackend] = None
 _worker_integrands: Dict[Any, Callable] = {}
+#: the worker's chunk temporaries, reused by every chunk it runs
+_worker_scratch = None
 
 
 def _worker_backend() -> NumpyBackend:
@@ -142,16 +144,25 @@ def _resolve_worker_integrand(ref: Tuple[str, Any]) -> Callable:
 
 
 def _eval_chunk_in_worker(spec: Dict[str, Any]):
-    """Evaluate one pickled chunk spec; returns ``(estimate, error, axis)``."""
-    from repro.cubature.evaluation import compute_chunk
+    """Evaluate one pickled chunk spec; returns ``(estimate, error, axis)``.
+
+    The returned arrays are views into the worker's one scratch.  That is
+    safe: the pool's worker loop pickles the reply onto its result queue
+    before it takes the next task, so no chunk overwrites a reply that
+    has not been sent yet.
+    """
+    global _worker_scratch
+    from repro.cubature.evaluation import SweepScratch, compute_chunk
     from repro.cubature.rules import RULE_CACHE, get_rule
 
+    if _worker_scratch is None:
+        _worker_scratch = SweepScratch()
     bk = _worker_backend()
     integrand = _resolve_worker_integrand(spec["integrand"])
     dr = RULE_CACHE.device_rule(get_rule(spec["ndim"]), bk)
     return compute_chunk(
         bk, dr, integrand, spec["centers"], spec["halfwidths"],
-        spec["error_model"],
+        spec["error_model"], _worker_scratch,
     )
 
 

@@ -12,10 +12,11 @@ lattice, gathers them to the points and folds them there, so no point
 buffer is built.  Any other callable receives the tile's points, built
 in an ``(n, p, tile)`` buffer so each coordinate is a contiguous row,
 as the F-contiguous ``(p * tile, n)`` transpose.  Both forms give the
-same bits.  The values of all tiles land in one ``(p, chunk)`` array;
-the five rule estimates are one stacked accumulation over the points
-in ascending order, and the fourth-difference axis scan uses contiguous
-row gathers.
+same bits.  The values of all tiles land in one ``(p, chunk)`` array.
+The rule is fully symmetric, so the five rule estimates are a 5×5
+orbit-weight combination of each region's five orbit sums (``p`` adds
+in ascending point order, not ``5·p`` weighted multiply-adds), and the
+fourth-difference axis scan uses contiguous row gathers.
 Tiling bounds the point memory, chunking bounds the rest (the guides'
 "be easy on memory" rule) and doubles as the parallel decomposition:
 each chunk is an independent thunk the backend may schedule on a thread
@@ -33,10 +34,10 @@ Returned per region:
 
 Callers may pass a :class:`SweepScratch` to keep steady-state iterations
 allocation-free: the chunk temporaries (the lattice or point buffer, the
-lattice folds' temporaries, volumes, stacked estimates, fourth-difference
-work arrays) are reused across chunks and iterations instead of
-reallocated — shared across chunks only on backends that run them
-serially.
+lattice folds' temporaries, volumes, orbit sums, stacked estimates,
+fourth-difference work arrays) are reused across chunks and iterations
+instead of reallocated — shared across chunks only on backends that run
+them serially.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class SweepScratch:
     """Reusable per-run scratch for the evaluate sweep's chunk temporaries.
 
     Owns the lattice or point buffer, the lattice folds' temporaries, the
-    volume vector, stacked rule estimates and fourth-difference work
-    arrays that :func:`compute_chunk` writes, so reusing one scratch
+    volume vector, orbit sums, stacked rule estimates and fourth-difference
+    work arrays that :func:`compute_chunk` writes, so reusing one scratch
     across chunks makes steady-state iterations allocate O(1) new arrays.
     Buffers are flat, keyed by role, and grow monotonically in size; a
     chunk borrows a C-contiguous view of the leading elements reshaped to
@@ -220,8 +221,8 @@ def compute_chunk(
     points, so a large chunk never materialises all its points; a chunk
     that fits in one tile makes a single integrand call.  A point's value
     does not depend on how many points share the call, so the tile size
-    changes no bit.  The rule contraction, error model and fourth
-    differences then run once over the chunk's ``(p, mc)`` values.
+    changes no bit.  The orbit sums, rule combination, error model and
+    fourth differences then run once over the chunk's ``(p, mc)`` values.
 
     Every temporary is written into a ``scratch`` buffer through ``out=``
     ufunc forms, and every reduction over a region's points or axes runs
@@ -257,17 +258,32 @@ def compute_chunk(
     vol = scratch.take("vol", (mc,))
     np.prod(h2, axis=1, out=vol)
 
-    # est[k] = vol * Σ_q W[k, q] vals[q], accumulated in ascending q.  An
-    # explicit loop, not einsum or BLAS: their summation order follows
-    # the operand shapes (at mc == 1 the inner loop flips to the point
-    # axis), so a region's bits would depend on its chunk.
-    wq = dr.weights[:k].T[:, :, None]  # (p, k, 1)
+    # The rule is fully symmetric: every point of an orbit has the same
+    # weight in each rule, and each orbit is a contiguous row range of
+    # vals.  So osum[o] sums orbit o's rows in ascending q, and
+    # est[r] = vol * Σ_o W[r, o] osum[o] in ascending o, one rule at a
+    # time so the product temporary is one row.  The zero weights stay
+    # in, so 0 * inf gives NaN as a per-point sum would.
+    # Explicit loops, not np.add.reduce, einsum or BLAS: at mc == 1
+    # NumPy sums a contiguous row pairwise, and BLAS and einsum order
+    # follows the operand shapes, so a region's bits would depend on
+    # its chunk.
+    osum = scratch.take("osum", (5, mc))
+    lo = 0
+    for o, hi in enumerate(dr.orbit_ends):
+        acc = osum[o]
+        np.copyto(acc, vals[lo])
+        for q in range(lo + 1, hi):
+            np.add(acc, vals[q], out=acc)
+        lo = hi
     est = scratch.take("est", (k, mc))
-    term = scratch.take("est_term", (k, mc))
-    np.multiply(wq[0], vals[0], out=est)
-    for q in range(1, p):
-        np.multiply(wq[q], vals[q], out=term)
-        np.add(est, term, out=est)
+    term = scratch.take("est_term", (mc,))
+    for r in range(k):
+        w, acc = dr.orbit_weights[r], est[r]
+        np.multiply(w[0], osum[0], out=acc)
+        for o in range(1, 5):
+            np.multiply(w[o], osum[o], out=term)
+            np.add(acc, term, out=acc)
     np.multiply(est, vol, out=est)
     if k == 5:
         err = _error_from_estimates(*est, error_model)

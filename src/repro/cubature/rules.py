@@ -42,9 +42,25 @@ LAMBDA5 = np.sqrt(9.0 / 19.0)
 FOURTH_DIFF_RATIO = float(LAMBDA2**2 / LAMBDA3**2)
 
 
+#: the five embedded rules, in the row order of the rule tensors
+RULE_NAMES = ("w7", "w5", "w3a", "w3b", "w1")
+
+
 def point_count(ndim: int) -> int:
     """Number of function evaluations per region in ``ndim`` dimensions."""
     return 1 + 4 * ndim + 2 * ndim * (ndim - 1) + 2**ndim
+
+
+def orbit_ends(ndim: int) -> Tuple[int, ...]:
+    """End index of each orbit's point range, in point order.
+
+    The points are the center, star(λ2) and star(λ3) (``2n`` each), the
+    pairs (``2n(n−1)``) and the corners (``2^n``), each orbit one
+    contiguous range; orbit ``o`` spans ``[ends[o-1], ends[o])``.
+    """
+    n = ndim
+    return (1, 1 + 2 * n, 1 + 4 * n, 1 + 4 * n + 2 * n * (n - 1),
+            point_count(n))
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,13 @@ class GenzMalikRule:
     w7, w5, w3a, w3b, w1:
         Per-point weight vectors (normalised to unit volume) for the main
         degree-7 rule and the embedded degree-5 / two degree-3 / degree-1
-        companion rules.
+        companion rules.  The sweep does not read them (it contracts orbit
+        sums with ``orbit_weights``); they state the rules point by point
+        for the tests.
+    orbit_weights:
+        The same weights per orbit, keyed ``w7`` … ``w1``: one length-5
+        vector each, in orbit order (center, star(λ2), star(λ3), pairs,
+        corners), zero for orbits a rule does not use.
     idx2_plus, idx2_minus, idx3_plus, idx3_minus:
         ``(ndim,)`` indices into ``points`` of the ±λ2 / ±λ3 star points per
         axis, used for fourth-difference axis selection.
@@ -88,7 +110,10 @@ class GenzMalikRule:
 
         Used by the device cost model: point generation (2 flops per
         coordinate), the integrand itself, five weighted reductions, and the
-        fourth-difference scan.
+        fourth-difference scan.  It models the paper's CUDA kernel, which
+        forms each rule's weighted sum point by point, not the host
+        sweep's orbit sums, so the simulated device time and the paper
+        figures do not depend on how the host contracts the rules.
         """
         p = self.npoints
         n = self.ndim
@@ -156,15 +181,18 @@ class DeviceRule:
 
     The hot path only ever reads these arrays; materialising them once
     per ``(backend, ndim)`` pair means a real accelerator backend uploads
-    the point set and weight vectors a single time per process instead of
+    the point set and orbit weights a single time per process instead of
     once per ``evaluate`` sweep (host backends pay nothing either way —
     ``asarray`` is a no-copy view for NumPy arrays).
     """
 
     ndim: int
     points: Any
-    #: ``(5, p)`` stacked rule weights, rows ``w7, w5, w3a, w3b, w1``
-    weights: Any
+    #: ``(5, 5)`` orbit weights: rows ``w7, w5, w3a, w3b, w1``, columns
+    #: the orbits center, star(λ2), star(λ3), pairs, corners
+    orbit_weights: Any
+    #: end index of each orbit's contiguous point range, in orbit order
+    orbit_ends: Tuple[int, ...]
     idx2_plus: Any
     idx2_minus: Any
     idx3_plus: Any
@@ -220,9 +248,10 @@ class RuleCache:
                 dr = DeviceRule(
                     ndim=rule.ndim,
                     points=backend.asarray(rule.points),
-                    weights=backend.asarray(np.stack(
-                        [rule.w7, rule.w5, rule.w3a, rule.w3b, rule.w1]
+                    orbit_weights=backend.asarray(np.stack(
+                        [rule.orbit_weights[k] for k in RULE_NAMES]
                     )),
+                    orbit_ends=orbit_ends(rule.ndim),
                     idx2_plus=backend.asarray(rule.idx2_plus),
                     idx2_minus=backend.asarray(rule.idx2_minus),
                     idx3_plus=backend.asarray(rule.idx3_plus),

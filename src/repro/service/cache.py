@@ -38,8 +38,9 @@ from repro.core.result import IntegrationResult
 
 #: bump when the fingerprint payload layout or the computed bits change,
 #: so stale durable entries and disk-serialised fingerprints cannot collide
-#: (3: the dimension-major evaluate sweep moved estimates by ULPs)
-FINGERPRINT_SCHEMA = 3
+#: (3: the dimension-major evaluate sweep moved estimates by ULPs;
+#: 4: the orbit-sum rule contraction moved them again)
+FINGERPRINT_SCHEMA = 4
 
 
 def job_fingerprint(

@@ -172,6 +172,41 @@ def test_chunk_payload_is_its_slices_plus_a_reference():
         bk.close()
 
 
+def test_worker_scratch_reuse_keeps_the_bits(monkeypatch):
+    """A worker runs every chunk on one module-level scratch.  Two chunks
+    of different sizes and dimensions in a row give the bits of
+    ``compute_chunk`` on a fresh scratch."""
+    import repro.backends.process as proc
+    from repro.cubature.evaluation import compute_chunk
+    from repro.cubature.rules import RULE_CACHE
+
+    monkeypatch.setattr(proc, "_worker_scratch", None)
+    bk = get_backend("numpy")
+    rng = np.random.default_rng(7)
+    seen = []
+    for spec, mc in (("5D-f5", 300), ("3D-f4", 41), ("5D-f5", 7)):
+        f = named_integrand(spec)
+        h = rng.uniform(0.01, 0.1, size=(mc, f.ndim))
+        c = rng.uniform(h, 1.0 - h)
+        got = proc._eval_chunk_in_worker(
+            {
+                "integrand": ("spec", f.spec),
+                "ndim": f.ndim,
+                "error_model": "cascade",
+                "centers": c,
+                "halfwidths": h,
+            }
+        )
+        got = [a.copy() for a in got]  # views into the worker's scratch
+        seen.append(proc._worker_scratch)
+        dr = RULE_CACHE.device_rule(get_rule(f.ndim), bk)
+        want = compute_chunk(bk, dr, f, c, h, "cascade")
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert seen[0] is not None
+    assert all(s is seen[0] for s in seen)
+
+
 # ---------------------------------------------------------------------------
 # Failure semantics
 # ---------------------------------------------------------------------------

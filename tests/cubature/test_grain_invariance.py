@@ -5,7 +5,7 @@ speed setting (``chunk_budget``).  Every reduction a region's estimate,
 error and split axis depend on — the integrand's column folds included
 — runs along that region's own points in a fixed order, so how many
 regions share a chunk, and which backend runs it, must not change a bit.
-The stacked rule contraction is a grain-sensitive site for every
+The rule contraction's orbit sums are a grain-sensitive site for every
 integrand; the cases add the integrands' own sites: the catalogue's
 ``Σ c_i x_i`` sums (paper f1, f3, f6; Genz oscillatory, corner peak and
 discontinuous), the column-wise sums and products of f2, f4, f5 and f7,

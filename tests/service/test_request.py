@@ -49,11 +49,11 @@ CORPUS = [
     {"collect_traces": True},
 ]
 
-#: the base corpus digest at fingerprint schema 3 (the dimension-major
-#: evaluate sweep moved computed bits) — byte stability means this never
+#: the base corpus digest at fingerprint schema 4 (the orbit-sum rule
+#: contraction moved computed bits) — byte stability means this never
 #: changes without a schema bump
 PINNED_BASE_FINGERPRINT = (
-    "8c6d4bbba404114f39b8eef8d14b05c1d0e8f36fd3c9647138da1bea5a16ee73"
+    "25bff063485bd72a2bf6b9553c52b2a12b0bfab96dedc3042c1289e45230fb00"
 )
 
 
